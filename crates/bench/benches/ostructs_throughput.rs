@@ -224,8 +224,8 @@ fn zipf_mixed(c: &mut Criterion) {
 /// bench so the committed-read fast path's win is measurable in one run
 /// without checking out an old commit.
 mod mutex_replica {
-    use parking_lot::Mutex;
     use std::collections::{BTreeMap, HashMap};
+    use std::sync::Mutex;
 
     struct Slot {
         value: u64,
@@ -253,7 +253,7 @@ mod mutex_replica {
         }
 
         pub fn store_version(&self, v: u64, val: u64) {
-            self.state.lock().versions.insert(
+            self.state.lock().expect("replica lock").versions.insert(
                 v,
                 Slot {
                     value: val,
@@ -265,6 +265,7 @@ mod mutex_replica {
         pub fn try_load_latest(&self, cap: u64) -> Option<(u64, u64)> {
             self.state
                 .lock()
+                .expect("replica lock")
                 .versions
                 .range(..=cap)
                 .next_back()

@@ -87,8 +87,8 @@ impl Zipf {
 }
 
 /// The pre-sharding cell design, replicated faithfully: every operation —
-/// committed reads included — takes one mutex over the version map (the
-/// vendored parking_lot Mutex wraps std's, so std's is the honest stand-in).
+/// committed reads included — takes one `std::sync::Mutex` over the
+/// version map, the lock family `ostructs-core` itself uses.
 /// Kept here so the committed speedup number regenerates from one binary
 /// without checking out an old commit.
 mod mutex_replica {

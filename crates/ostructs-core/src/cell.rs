@@ -32,11 +32,10 @@ use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
-use parking_lot::{Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use crate::error::OError;
+use crate::sync::{Condvar, Mutex};
 use crate::{TaskId, Version};
 
 /// Maximum number of runs retained in the published read snapshot. A cell
@@ -81,6 +80,28 @@ struct Snapshot<T> {
     locked: Vec<Version>,
 }
 
+/// What a load resolves: one exact version (`LOAD-VERSION`), or the
+/// newest version ≤ a cap (`LOAD-LATEST`).
+#[derive(Clone, Copy)]
+enum Target {
+    Exact(Version),
+    Latest(Version),
+}
+
+/// How long a load waits for its target to exist and be unlocked.
+#[derive(Clone, Copy)]
+enum Wait {
+    /// Until it resolves.
+    Block,
+    /// Until it resolves or the deadline passes.
+    Until(Instant),
+    /// Not at all: answer from the current state.
+    Never,
+}
+
+use Target::{Exact, Latest};
+use Wait::{Block, Never, Until};
+
 /// Fast-path resolution against a [`Snapshot`]. Borrows the snapshot, so
 /// hits can be consumed (cloned, `Arc`-bumped, or just read) while the
 /// snap guard is held — the cloning load paths copy `T` without ever
@@ -118,43 +139,28 @@ impl<T> Snapshot<T> {
         self.locked.binary_search(&v).is_ok()
     }
 
-    /// Newest existing version `<= cap`, if the window can answer.
-    fn read_latest(&self, cap: Version) -> FastRead<'_, T> {
-        let i = self.runs.partition_point(|r| r.lo <= cap);
-        if i == 0 {
-            // No covered version <= cap: authoritative only if the window
-            // covers everything.
+    /// Resolves `target` if the window can answer.
+    fn read(&self, target: Target) -> FastRead<'_, T> {
+        let (Exact(key) | Latest(key)) = target;
+        let i = self.runs.partition_point(|r| r.lo <= key);
+        let Some(run) = i.checked_sub(1).map(|i| &self.runs[i]) else {
+            // No covered version <= key (so an exact key is below the
+            // floor): authoritative only if the window covers everything.
             return if self.complete {
                 FastRead::Absent
             } else {
                 FastRead::Unknown
             };
-        }
-        let run = &self.runs[i - 1];
-        let v = run.hi.min(cap);
+        };
+        let v = match target {
+            Latest(cap) => run.hi.min(cap),
+            Exact(v) if v <= run.hi => v,
+            Exact(_) => return FastRead::Absent,
+        };
         if self.is_locked(v) {
             FastRead::Locked
         } else {
             FastRead::Hit(v, &run.value)
-        }
-    }
-
-    /// Exact-version lookup, if the window can answer.
-    fn read_exact(&self, version: Version) -> FastRead<'_, T> {
-        if !self.complete && version < self.floor() {
-            return FastRead::Unknown;
-        }
-        let i = self.runs.partition_point(|r| r.lo <= version);
-        if i == 0 {
-            return FastRead::Absent;
-        }
-        let run = &self.runs[i - 1];
-        if version > run.hi {
-            FastRead::Absent
-        } else if self.is_locked(version) {
-            FastRead::Locked
-        } else {
-            FastRead::Hit(version, &run.value)
         }
     }
 }
@@ -172,6 +178,15 @@ struct State<T> {
 }
 
 impl<T> State<T> {
+    /// The version `target` resolves to and its slot, locked or not.
+    fn find(&self, target: Target) -> Option<(Version, &Slot<T>)> {
+        let found = match target {
+            Exact(v) => self.versions.get_key_value(&v),
+            Latest(cap) => self.versions.range(..=cap).next_back(),
+        };
+        found.map(|(&v, slot)| (v, slot))
+    }
+
     /// Rebuilds the window by walking the newest versions of the map,
     /// coalescing contiguous same-value versions into runs. Used after
     /// out-of-order stores and pruning; the append path updates in place.
@@ -357,11 +372,104 @@ impl<T> Inner<T> {
         crate::metrics::note_publish();
         self.published.set(Arc::new(st.snapshot()));
     }
+
+    /// The load core: resolves `target` on the published snapshot when it
+    /// can, else under the state mutex, waiting per `wait` for the target
+    /// to exist and be unlocked. `project` turns the value into the
+    /// result; it runs under the snapshot guard on the fast path, so a
+    /// cloning projection copies `T` without touching the `Arc`'s
+    /// refcount. `None` only when `wait` gave up.
+    fn load<R>(
+        &self,
+        target: Target,
+        wait: Wait,
+        project: impl Fn(&Arc<T>) -> R,
+    ) -> Option<(Version, R)> {
+        // The snap guard must drop before the state mutex is taken (the
+        // explicit block), or a concurrent publisher draining readers
+        // while holding the state mutex would deadlock with us.
+        {
+            let snap = self.published.read();
+            match snap.read(target) {
+                FastRead::Hit(v, value) => return Some((v, project(value))),
+                FastRead::Absent | FastRead::Locked if matches!(wait, Never) => return None,
+                _ => {}
+            }
+        }
+        self.wait_for(wait, |st| {
+            let (v, slot) = st.find(target)?;
+            slot.locked_by.is_none().then(|| (v, project(&slot.value)))
+        })
+    }
+
+    /// The lock-load core: like [`Inner::load`] but always under the state
+    /// mutex, and the resolved version is locked as `tid`.
+    fn lock_load<R>(
+        &self,
+        target: Target,
+        tid: TaskId,
+        wait: Wait,
+        project: impl Fn(&Arc<T>) -> R,
+    ) -> Option<(Version, R)> {
+        self.wait_for(wait, |st| {
+            let (v, slot) = st.find(target)?;
+            if slot.locked_by.is_some() {
+                return None;
+            }
+            // Project before marking the lock: a panicking `T::clone` must
+            // not leave the version locked with no held record.
+            let value = project(&slot.value);
+            st.versions.get_mut(&v).expect("just found").locked_by = Some(tid);
+            st.held.insert(tid, v);
+            self.publish(st);
+            Some((v, value))
+        })
+    }
+
+    /// The slow path shared by both cores: retries `attempt` under the
+    /// state mutex, parking on the condvar between tries as `wait` allows.
+    fn wait_for<R>(
+        &self,
+        wait: Wait,
+        mut attempt: impl FnMut(&mut State<T>) -> Option<R>,
+    ) -> Option<R> {
+        let mut st = self.state.lock();
+        let mut timer = crate::metrics::WaitTimer::new();
+        loop {
+            if let Some(r) = attempt(&mut st) {
+                return Some(r);
+            }
+            if let Never = wait {
+                return None;
+            }
+            timer.note_wait();
+            st = match wait {
+                Until(deadline) => {
+                    let (st, timed_out) = self.changed.wait_until(st, deadline);
+                    if timed_out {
+                        return None;
+                    }
+                    st
+                }
+                _ => self.changed.wait(st),
+            };
+        }
+    }
 }
 
-/// Type-erased garbage-collection interface; the runtime and the vacuum
-/// hold tracked stores as `Weak<dyn Prune>` so one collector can prune
-/// cells (or whole maps) of any value type.
+/// The cloning projection for [`Inner::load`].
+fn cloned<T: Clone>(value: &Arc<T>) -> T {
+    T::clone(value)
+}
+
+/// Unwraps a [`Block`] load, which only returns once resolved.
+fn resolved<R>(r: Option<R>) -> R {
+    r.expect("a blocking load returns only once resolved")
+}
+
+/// Type-erased garbage-collection interface; the reclaimer behind the
+/// runtime and the vacuum holds tracked stores as `Weak<dyn Prune>` so one
+/// collector can prune cells (or whole maps) of any value type.
 pub trait Prune {
     /// See [`OCell::prune_below`].
     fn prune_below(&self, boundary: Version) -> usize;
@@ -480,83 +588,25 @@ impl<T> OCell<T> {
     /// `LOAD-VERSION` returning the shared allocation: blocks until
     /// `version` exists and is unlocked, without cloning `T`.
     pub fn load_version_arc(&self, version: Version) -> Arc<T> {
-        // The snap guard must drop before the state mutex is taken (the
-        // explicit block), or a concurrent publisher draining readers
-        // while holding the state mutex would deadlock with us.
-        {
-            let snap = self.inner.published.read();
-            if let FastRead::Hit(_, value) = snap.read_exact(version) {
-                return Arc::clone(value);
-            }
-        }
-        let mut st = self.inner.state.lock();
-        let mut timer = crate::metrics::WaitTimer::new();
-        loop {
-            if let Some(slot) = st.versions.get(&version) {
-                if slot.locked_by.is_none() {
-                    return Arc::clone(&slot.value);
-                }
-            }
-            timer.note_wait();
-            self.inner.changed.wait(&mut st);
-        }
+        resolved(self.inner.load(Exact(version), Block, Arc::clone)).1
     }
 
     /// Non-blocking `LOAD-VERSION` returning the shared allocation.
     pub fn try_load_version_arc(&self, version: Version) -> Option<Arc<T>> {
-        {
-            let snap = self.inner.published.read();
-            match snap.read_exact(version) {
-                FastRead::Hit(_, value) => return Some(Arc::clone(value)),
-                FastRead::Absent | FastRead::Locked => return None,
-                FastRead::Unknown => {}
-            }
-        }
-        let st = self.inner.state.lock();
-        st.versions
-            .get(&version)
-            .filter(|s| s.locked_by.is_none())
-            .map(|s| Arc::clone(&s.value))
+        self.inner
+            .load(Exact(version), Never, Arc::clone)
+            .map(|(_, v)| v)
     }
 
     /// `LOAD-LATEST` returning the shared allocation: blocks until some
     /// version ≤ `cap` exists and the newest such version is unlocked.
     pub fn load_latest_arc(&self, cap: Version) -> (Version, Arc<T>) {
-        {
-            let snap = self.inner.published.read();
-            if let FastRead::Hit(v, value) = snap.read_latest(cap) {
-                return (v, Arc::clone(value));
-            }
-        }
-        let mut st = self.inner.state.lock();
-        let mut timer = crate::metrics::WaitTimer::new();
-        loop {
-            if let Some((&v, slot)) = st.versions.range(..=cap).next_back() {
-                if slot.locked_by.is_none() {
-                    return (v, Arc::clone(&slot.value));
-                }
-            }
-            timer.note_wait();
-            self.inner.changed.wait(&mut st);
-        }
+        resolved(self.inner.load(Latest(cap), Block, Arc::clone))
     }
 
     /// Non-blocking `LOAD-LATEST` returning the shared allocation.
     pub fn try_load_latest_arc(&self, cap: Version) -> Option<(Version, Arc<T>)> {
-        {
-            let snap = self.inner.published.read();
-            match snap.read_latest(cap) {
-                FastRead::Hit(v, value) => return Some((v, Arc::clone(value))),
-                FastRead::Absent | FastRead::Locked => return None,
-                FastRead::Unknown => {}
-            }
-        }
-        let st = self.inner.state.lock();
-        st.versions
-            .range(..=cap)
-            .next_back()
-            .filter(|(_, s)| s.locked_by.is_none())
-            .map(|(&v, s)| (v, Arc::clone(&s.value)))
+        self.inner.load(Latest(cap), Never, Arc::clone)
     }
 
     /// The version `tid` currently holds locked, if any.
@@ -711,80 +761,34 @@ impl<T> OCell<T> {
 impl<T: Clone> OCell<T> {
     /// `LOAD-VERSION`: blocks until `version` exists and is unlocked.
     pub fn load_version(&self, version: Version) -> T {
-        // Clone `T` straight out of the published snapshot — no state
-        // mutex, no Arc refcount traffic.
-        {
-            let snap = self.inner.published.read();
-            if let FastRead::Hit(_, value) = snap.read_exact(version) {
-                return (**value).clone();
-            }
-        }
-        (*self.load_version_arc(version)).clone()
+        resolved(self.inner.load(Exact(version), Block, cloned)).1
     }
 
     /// Non-blocking `LOAD-VERSION`: `None` if absent or locked.
     pub fn try_load_version(&self, version: Version) -> Option<T> {
-        {
-            let snap = self.inner.published.read();
-            match snap.read_exact(version) {
-                FastRead::Hit(_, value) => return Some((**value).clone()),
-                FastRead::Absent | FastRead::Locked => return None,
-                FastRead::Unknown => {}
-            }
-        }
-        self.try_load_version_arc(version).map(|v| (*v).clone())
+        self.inner
+            .load(Exact(version), Never, cloned)
+            .map(|(_, v)| v)
     }
 
     /// `LOAD-VERSION` with a timeout — mainly for tests that must detect a
     /// stall without hanging. `None` on timeout.
     pub fn load_version_timeout(&self, version: Version, dur: Duration) -> Option<T> {
-        {
-            let snap = self.inner.published.read();
-            if let FastRead::Hit(_, value) = snap.read_exact(version) {
-                return Some((**value).clone());
-            }
-        }
-        let deadline = std::time::Instant::now() + dur;
-        let mut st = self.inner.state.lock();
-        let mut timer = crate::metrics::WaitTimer::new();
-        loop {
-            if let Some(slot) = st.versions.get(&version) {
-                if slot.locked_by.is_none() {
-                    return Some((*slot.value).clone());
-                }
-            }
-            timer.note_wait();
-            if self.inner.changed.wait_until(&mut st, deadline).timed_out() {
-                return None;
-            }
-        }
+        let wait = Until(Instant::now() + dur);
+        self.inner
+            .load(Exact(version), wait, cloned)
+            .map(|(_, v)| v)
     }
 
     /// `LOAD-LATEST`: blocks until some version ≤ `cap` exists and the
     /// newest such version is unlocked. Returns `(version, value)`.
     pub fn load_latest(&self, cap: Version) -> (Version, T) {
-        {
-            let snap = self.inner.published.read();
-            if let FastRead::Hit(v, value) = snap.read_latest(cap) {
-                return (v, (**value).clone());
-            }
-        }
-        let (v, value) = self.load_latest_arc(cap);
-        (v, (*value).clone())
+        resolved(self.inner.load(Latest(cap), Block, cloned))
     }
 
     /// Non-blocking `LOAD-LATEST`.
     pub fn try_load_latest(&self, cap: Version) -> Option<(Version, T)> {
-        {
-            let snap = self.inner.published.read();
-            match snap.read_latest(cap) {
-                FastRead::Hit(v, value) => return Some((v, (**value).clone())),
-                FastRead::Absent | FastRead::Locked => return None,
-                FastRead::Unknown => {}
-            }
-        }
-        self.try_load_latest_arc(cap)
-            .map(|(v, a)| (v, (*a).clone()))
+        self.inner.load(Latest(cap), Never, cloned)
     }
 
     /// `LOCK-LOAD-VERSION`: exact load + lock as `tid`. Blocks while the
@@ -793,21 +797,7 @@ impl<T: Clone> OCell<T> {
         if tid == 0 {
             return Err(OError::ReservedTaskId);
         }
-        let mut st = self.inner.state.lock();
-        let mut timer = crate::metrics::WaitTimer::new();
-        loop {
-            if let Some(slot) = st.versions.get_mut(&version) {
-                if slot.locked_by.is_none() {
-                    slot.locked_by = Some(tid);
-                    let value = (*slot.value).clone();
-                    st.held.insert(tid, version);
-                    self.inner.publish(&st);
-                    return Ok(value);
-                }
-            }
-            timer.note_wait();
-            self.inner.changed.wait(&mut st);
-        }
+        Ok(resolved(self.inner.lock_load(Exact(version), tid, Block, cloned)).1)
     }
 
     /// Non-blocking `LOCK-LOAD-LATEST`: `None` when the newest version ≤
@@ -816,19 +806,7 @@ impl<T: Clone> OCell<T> {
         if tid == 0 {
             return None;
         }
-        let mut st = self.inner.state.lock();
-        let v = st
-            .versions
-            .range(..=cap)
-            .next_back()
-            .filter(|(_, s)| s.locked_by.is_none())
-            .map(|(&v, _)| v)?;
-        let slot = st.versions.get_mut(&v).expect("just found");
-        slot.locked_by = Some(tid);
-        let value = (*slot.value).clone();
-        st.held.insert(tid, v);
-        self.inner.publish(&st);
-        Some((v, value))
+        self.inner.lock_load(Latest(cap), tid, Never, cloned)
     }
 
     /// `LOCK-LOAD-LATEST`: capped load + lock as `tid`.
@@ -837,26 +815,12 @@ impl<T: Clone> OCell<T> {
         if tid == 0 {
             return Err(OError::ReservedTaskId);
         }
-        let mut st = self.inner.state.lock();
-        let mut timer = crate::metrics::WaitTimer::new();
-        loop {
-            let found = st
-                .versions
-                .range(..=cap)
-                .next_back()
-                .filter(|(_, s)| s.locked_by.is_none())
-                .map(|(&v, _)| v);
-            if let Some(v) = found {
-                let slot = st.versions.get_mut(&v).expect("just found");
-                slot.locked_by = Some(tid);
-                let value = (*slot.value).clone();
-                st.held.insert(tid, v);
-                self.inner.publish(&st);
-                return Ok((v, value));
-            }
-            timer.note_wait();
-            self.inner.changed.wait(&mut st);
-        }
+        Ok(resolved(self.inner.lock_load(
+            Latest(cap),
+            tid,
+            Block,
+            cloned,
+        )))
     }
 
     /// `UNLOCK-VERSION`: releases `tid`'s lock on this cell; with
@@ -901,8 +865,8 @@ impl<T: Clone> OCell<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::thread;
-    use std::time::Duration;
 
     const T50: Duration = Duration::from_millis(200);
 
@@ -1145,6 +1109,40 @@ mod tests {
         }
         assert_eq!(c.load_latest(u64::MAX), (n * 2, n as u32));
         assert_eq!(c.try_load_latest(1), None);
+    }
+
+    #[test]
+    fn panicking_clone_leaves_no_orphan_lock() {
+        // A value whose next clone panics once armed: each lock-load must
+        // unwind without leaving the version locked by a task that has no
+        // held record (which would wedge every later lock-load of it).
+        struct Fuse(Arc<AtomicBool>);
+        impl Clone for Fuse {
+            fn clone(&self) -> Self {
+                assert!(!self.0.swap(false, Ordering::Relaxed), "armed clone");
+                Fuse(Arc::clone(&self.0))
+            }
+        }
+        let armed = Arc::new(AtomicBool::new(false));
+        let c = OCell::with_initial(1, Fuse(Arc::clone(&armed)));
+        let lock_loads: [fn(&OCell<Fuse>); 3] = [
+            |c| drop(c.lock_load_version(1, 5)),
+            |c| drop(c.lock_load_latest(1, 5)),
+            |c| drop(c.try_lock_load_latest(1, 5)),
+        ];
+        for (i, lock_load) in lock_loads.into_iter().enumerate() {
+            armed.store(true, Ordering::Relaxed);
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| lock_load(&c)));
+            assert!(unwound.is_err(), "lock-load {i} cloned under the lock");
+            c.check_invariants().unwrap();
+            for tid in [5, 6] {
+                c.lock_load_version(1, tid).unwrap();
+                c.unlock_version(tid, None).unwrap();
+            }
+            // The panic poisoned the state mutex; the cell must not care.
+            c.store_version(10 + i as u64, Fuse(Arc::clone(&armed)))
+                .unwrap();
+        }
     }
 
     #[test]

@@ -14,16 +14,21 @@
 //! * [`Versioned`] — the Fig. 1 library API (`versioned<T>`): per-task
 //!   ergonomic wrappers (`store_ver`, `lock_load_last`, `unlock_ver`)
 //!   where the cell remembers which version each task holds locked.
-//! * [`runtime::ORuntime`] — a task-parallel runtime that executes a
-//!   sequential list of tasks across worker threads with task-id order,
-//!   plus the §III-B garbage collector (shadowed list → pending list →
-//!   reclaim once the active-task window has passed).
 //! * [`map::OMap`] — a sharded, snapshot-isolated concurrent map (one
 //!   cell per key, fxhash shard selection, per-shard locks).
-//! * [`vacuum`] — epoch-watermark reclamation for free-threaded use:
-//!   a [`vacuum::ReaderRegistry`] of pinned snapshot caps feeding a
-//!   background [`vacuum::Vacuum`] that prunes below the oldest live
-//!   reader, with counters surfaced through `osim-metrics`.
+//! * [`vacuum`] — the one version reclaimer: a
+//!   [`vacuum::ReaderRegistry`] of pinned snapshot caps, and a prune
+//!   pass below the oldest live pin with counters surfaced through
+//!   `osim-metrics`. [`vacuum::Vacuum`] runs it on a background thread
+//!   for free-threaded use.
+//! * [`runtime::ORuntime`] — a task-parallel runtime that executes a
+//!   sequential list of tasks across worker threads with task-id order.
+//!   It is the §III-B garbage collector's setting: each running task pins
+//!   its id in the registry, and every few task completions the runtime
+//!   runs the same prune pass.
+//!
+//! Every lock is `std::sync`, taken through one crate-private module
+//! that ignores lock poisoning.
 //!
 //! The cycle-level microarchitectural implementation that the paper's
 //! evaluation is based on lives in the `osim-*` crates; this crate is the
@@ -38,6 +43,7 @@ pub mod istructs;
 pub mod map;
 pub mod metrics;
 pub mod runtime;
+mod sync;
 pub mod vacuum;
 pub mod versioned;
 

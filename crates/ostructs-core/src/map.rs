@@ -37,10 +37,9 @@ use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Weak};
 
-use parking_lot::RwLock;
-
 use crate::cell::{OCell, Prune};
 use crate::error::OError;
+use crate::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use crate::Version;
 
 /// Default shard count (power of two).
@@ -130,10 +129,7 @@ where
 
 /// Shard read lock with contention accounting: a failed try-lock counts
 /// against the shard before falling back to the blocking acquire.
-fn read_counted<K, V>(
-    idx: usize,
-    shard: &Shard<K, V>,
-) -> parking_lot::RwLockReadGuard<'_, ShardMap<K, V>> {
+fn read_counted<K, V>(idx: usize, shard: &Shard<K, V>) -> RwLockReadGuard<'_, ShardMap<K, V>> {
     match shard.try_read() {
         Some(guard) => guard,
         None => {
@@ -144,10 +140,7 @@ fn read_counted<K, V>(
 }
 
 /// Shard write lock with contention accounting.
-fn write_counted<K, V>(
-    idx: usize,
-    shard: &Shard<K, V>,
-) -> parking_lot::RwLockWriteGuard<'_, ShardMap<K, V>> {
+fn write_counted<K, V>(idx: usize, shard: &Shard<K, V>) -> RwLockWriteGuard<'_, ShardMap<K, V>> {
     match shard.try_write() {
         Some(guard) => guard,
         None => {

@@ -12,8 +12,10 @@
 
 use osim_metrics::{Histogram, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
+
+use crate::sync::Mutex;
 
 /// Matches the default `OMap` shard count; maps with more shards fold the
 /// excess into the last slot.
@@ -80,11 +82,7 @@ impl Drop for WaitTimer {
     fn drop(&mut self) {
         if let Some(t0) = self.started {
             let us = t0.elapsed().as_micros() as u64;
-            store()
-                .blocking_wait_us
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record(us);
+            store().blocking_wait_us.lock().record(us);
         }
     }
 }
@@ -109,7 +107,7 @@ pub fn fill_store_registry(reg: &mut Registry) {
         m.contention_total.load(Ordering::Relaxed),
     );
     {
-        let h = m.blocking_wait_us.lock().unwrap_or_else(|e| e.into_inner());
+        let h = m.blocking_wait_us.lock();
         reg.hist_mut("osim_store_blocking_wait_us", &[]).merge(&h);
     }
     for (i, shard) in m.contention_by_shard.iter().enumerate() {

@@ -7,37 +7,20 @@
 //! task ids, the memory system is told when tasks begin and end, and no
 //! task is created below the oldest active id.
 //!
-//! Garbage collection here is the software rendition: tracked cells drop
-//! every version shadowed for the whole active window (the hardware
-//! two-list protocol, which exists because hardware cannot atomically
-//! check reachability, collapses to a single atomic prune under the cell
-//! mutex — the `osim-uarch` crate models the full shadowed/pending
-//! mechanism).
+//! Those rules make a task a reader of the [`crate::vacuum`] registry:
+//! task ids are a block taken from the registry's version clock,
+//! `TASK-BEGIN` pins the task's id and `TASK-END` drops the pin, so the
+//! oldest running task is the watermark. Collection is the same pass the
+//! background [`crate::Vacuum`] runs, here triggered by task completions.
+//! It is the software rendition of the hardware two-list protocol, which
+//! exists because hardware cannot atomically check reachability: it
+//! collapses to a single atomic prune under each cell mutex — the
+//! `osim-uarch` crate models the full shadowed/pending mechanism.
 
-use std::collections::BTreeSet;
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
-
-use crate::cell::{OCell, Prune};
+use crate::vacuum::{Prunable, ReaderGuard, ReaderRegistry, Reclaimer, VacuumStats};
 use crate::TaskId;
-
-/// Garbage-collection counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcStats {
-    /// Collection passes executed.
-    pub collections: u64,
-    /// Total versions reclaimed.
-    pub reclaimed: u64,
-}
-
-struct RtState {
-    active: BTreeSet<TaskId>,
-    next_tid: TaskId,
-    tracked: Vec<Weak<dyn Prune + Send + Sync>>,
-    ends_since_gc: u64,
-    stats: GcStats,
-}
 
 /// The task runtime.
 ///
@@ -62,11 +45,13 @@ struct RtState {
 /// assert_eq!(cell.load_latest(u64::MAX).1, 8);
 /// ```
 pub struct ORuntime {
-    state: Arc<Mutex<RtState>>,
+    reclaimer: Reclaimer,
     threads: usize,
     /// Run a collection pass every this many task completions
     /// (`None` = only on [`ORuntime::collect_now`]).
     gc_every: Option<u64>,
+    /// Task completions so far, for the `gc_every` cadence.
+    ends: AtomicU64,
 }
 
 impl ORuntime {
@@ -78,37 +63,30 @@ impl ORuntime {
     /// A runtime with an explicit collection cadence.
     pub fn with_gc_interval(threads: usize, gc_every: Option<u64>) -> Self {
         ORuntime {
-            state: Arc::new(Mutex::new(RtState {
-                active: BTreeSet::new(),
-                next_tid: 1,
-                tracked: Vec::new(),
-                ends_since_gc: 0,
-                stats: GcStats::default(),
-            })),
+            reclaimer: Reclaimer::new(ReaderRegistry::new()),
             threads: threads.max(1),
             gc_every,
+            ends: AtomicU64::new(0),
         }
     }
 
-    /// Registers a cell for garbage collection.
-    pub fn track<T: Send + Sync + 'static>(&self, cell: &OCell<T>) {
-        self.state.lock().tracked.push(cell.prune_handle());
+    /// Registers a cell, a whole [`crate::map::OMap`], or any other
+    /// prunable store for garbage collection. Tracking is by weak
+    /// reference — dropping the store untracks it.
+    pub fn track<S: Prunable>(&self, store: &S) {
+        self.reclaimer.track(store);
     }
 
-    /// Registers any prunable store (e.g. a whole [`crate::map::OMap`])
-    /// for garbage collection.
-    pub fn track_store<S: crate::vacuum::Prunable>(&self, store: &S) {
-        self.state.lock().tracked.push(store.prune_weak());
-    }
-
-    /// Collection counters so far.
-    pub fn gc_stats(&self) -> GcStats {
-        self.state.lock().stats
+    /// Collection counters so far; `last_watermark` is the boundary of
+    /// the most recent pass (the oldest running task id, or
+    /// [`ORuntime::next_tid`] when idle).
+    pub fn gc_stats(&self) -> VacuumStats {
+        self.reclaimer.stats()
     }
 
     /// The task id the next [`ORuntime::run`] will start at.
     pub fn next_tid(&self) -> TaskId {
-        self.state.lock().next_tid
+        self.reclaimer.registry().current()
     }
 
     /// Runs `tasks` to completion. Task `i` gets id `next_tid + i` and runs
@@ -117,90 +95,56 @@ impl ORuntime {
     /// the worker's next (so a queued task is always protected by an
     /// active lower id — the window can never slide past it).
     pub fn run(&self, tasks: Vec<Box<dyn FnOnce(TaskId) + Send>>) {
-        let first = {
-            let mut st = self.state.lock();
-            let first = st.next_tid;
-            st.next_tid += tasks.len() as TaskId;
-            first
-        };
+        let registry = self.reclaimer.registry();
+        let first = registry.take_versions(tasks.len() as TaskId);
         type Queue = Vec<(TaskId, Box<dyn FnOnce(TaskId) + Send>)>;
         let mut queues: Vec<Queue> = (0..self.threads).map(|_| Vec::new()).collect();
         for (i, t) in tasks.into_iter().enumerate() {
             queues[i % self.threads].push((first + i as TaskId, t));
         }
+        // Every worker's first task begins before any worker runs, so no
+        // early completion can slide the window past a queued task.
+        let workers: Vec<(ReaderGuard, Queue)> = queues
+            .into_iter()
+            .filter_map(|q| Some((registry.pin_at(q.first()?.0), q)))
+            .collect();
         std::thread::scope(|scope| {
-            for queue in queues {
-                if queue.is_empty() {
-                    continue;
-                }
-                let state = Arc::clone(&self.state);
-                let gc_every = self.gc_every;
+            for (mut running, queue) in workers {
                 scope.spawn(move || {
-                    let mut prev: Option<TaskId> = None;
                     for (tid, body) in queue {
-                        state.lock().active.insert(tid);
-                        if let Some(p) = prev.take() {
-                            Self::end_task(&state, p, gc_every);
+                        if tid != running.cap() {
+                            let next = registry.pin_at(tid);
+                            self.end_task(std::mem::replace(&mut running, next));
                         }
                         body(tid);
-                        prev = Some(tid);
                     }
-                    if let Some(p) = prev {
-                        Self::end_task(&state, p, gc_every);
-                    }
+                    self.end_task(running);
                 });
             }
         });
     }
 
-    fn end_task(state: &Mutex<RtState>, tid: TaskId, gc_every: Option<u64>) {
-        let collect = {
-            let mut st = state.lock();
-            st.active.remove(&tid);
-            st.ends_since_gc += 1;
-            matches!(gc_every, Some(n) if st.ends_since_gc >= n)
-        };
-        if collect {
-            Self::collect(state);
+    /// `TASK-END`: drops the task's pin, then runs the cadence's pass.
+    fn end_task(&self, task: ReaderGuard) {
+        drop(task);
+        let ends = self.ends.fetch_add(1, Ordering::Relaxed) + 1;
+        if matches!(self.gc_every, Some(n) if ends.is_multiple_of(n.max(1))) {
+            self.reclaimer.pass();
         }
     }
 
     /// Runs one collection pass immediately.
     pub fn collect_now(&self) {
-        Self::collect(&self.state);
-    }
-
-    fn collect(state: &Mutex<RtState>) {
-        // Snapshot the window and the tracked set without holding the lock
-        // while pruning (pruning takes per-cell locks).
-        let (boundary, cells) = {
-            let mut st = state.lock();
-            st.ends_since_gc = 0;
-            let boundary = match st.active.first() {
-                // Everything below the oldest active task is stale...
-                Some(&oldest) => oldest,
-                // ...or below the next id to be issued when idle.
-                None => st.next_tid,
-            };
-            st.tracked.retain(|w| w.strong_count() > 0);
-            (boundary, st.tracked.clone())
-        };
-        let mut reclaimed = 0u64;
-        for weak in cells {
-            if let Some(cell) = weak.upgrade() {
-                reclaimed += cell.prune_below(boundary) as u64;
-            }
-        }
-        let mut st = state.lock();
-        st.stats.collections += 1;
-        st.stats.reclaimed += reclaimed;
+        self.reclaimer.pass();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::cell::OCell;
+    use crate::sync::Mutex;
+    use std::sync::Arc;
 
     #[test]
     fn tasks_get_sequential_ids_and_all_run() {
@@ -261,7 +205,7 @@ mod tests {
         rt.run(tasks);
         rt.collect_now();
         let stats = rt.gc_stats();
-        assert!(stats.collections >= 8, "{stats:?}");
+        assert!(stats.passes >= 8, "{stats:?}");
         assert!(stats.reclaimed >= 56, "{stats:?}");
         assert_eq!(cell.version_count(), 1, "only the newest version survives");
         assert_eq!(cell.load_latest(u64::MAX), (64, 64));
@@ -270,15 +214,24 @@ mod tests {
     #[test]
     fn gc_never_breaks_active_readers() {
         // A slow low-id reader pins its snapshot while later writers churn.
-        let rt = ORuntime::with_gc_interval(4, Some(1));
+        let rt = Arc::new(ORuntime::with_gc_interval(4, Some(1)));
         let cell = OCell::with_initial(0, 100u64);
         rt.track(&cell);
         let mut tasks: Vec<Box<dyn FnOnce(TaskId) + Send>> = Vec::new();
-        // Task 1: slow reader with cap 0 (sees the initial value).
+        // Task 1: slow reader with cap 0 (sees the initial value). It waits
+        // until the other three workers have finished their 24 writers,
+        // each end running a pass, so every pass ran while task 1 was the
+        // oldest running task.
         {
             let cell = cell.clone();
+            let rt = Arc::clone(&rt);
             tasks.push(Box::new(move |tid: TaskId| {
-                std::thread::sleep(std::time::Duration::from_millis(40));
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while rt.gc_stats().passes < 24 {
+                    assert!(std::time::Instant::now() < deadline, "writers stalled");
+                    std::thread::yield_now();
+                }
+                assert_eq!(rt.gc_stats().last_watermark, tid, "the running task pins");
                 let (v, val) = cell.load_latest(tid - 1);
                 assert_eq!((v, val), (0, 100), "snapshot survived the churn");
             }));
@@ -291,6 +244,8 @@ mod tests {
             }));
         }
         rt.run(tasks);
+        rt.collect_now();
+        assert_eq!(rt.gc_stats().last_watermark, rt.next_tid(), "idle: next id");
     }
 
     #[test]
@@ -304,12 +259,15 @@ mod tests {
         rt.collect_now();
         // next_tid is 1, so the newest version ≤ 1 (version 1) is kept along
         // with everything newer.
+        assert_eq!(rt.gc_stats().last_watermark, 1);
         assert_eq!(cell.versions(), vec![1, 2, 3, 4, 5]);
         // After running tasks the boundary advances.
         let tasks: Vec<Box<dyn FnOnce(TaskId) + Send>> =
             vec![Box::new(|_| {}), Box::new(|_| {}), Box::new(|_| {})];
         rt.run(tasks);
         rt.collect_now();
+        assert_eq!(rt.gc_stats().last_watermark, rt.next_tid());
+        assert_eq!(rt.next_tid(), 4);
         assert_eq!(cell.versions(), vec![4, 5]);
     }
 
@@ -321,6 +279,6 @@ mod tests {
             rt.track(&cell);
         }
         rt.collect_now(); // must not panic on the dead weak ref
-        assert_eq!(rt.gc_stats().collections, 1);
+        assert_eq!(rt.gc_stats().passes, 1);
     }
 }

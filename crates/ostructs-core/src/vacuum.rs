@@ -1,14 +1,19 @@
-//! Epoch-watermark reclamation: the reader registry and the background
-//! vacuum.
+//! The one version reclaimer: the reader registry, the prune pass, and
+//! the background vacuum.
 //!
-//! The paper's §III-B garbage collector assumes the `ORuntime` execution
-//! model (task ids = versions, `TASK-BEGIN`/`TASK-END` reported to the
-//! memory system). Free-threaded users of [`crate::OCell`] /
-//! [`crate::map::OMap`] — long-lived services where readers come and go —
-//! need the MVCC equivalent: a registry of live readers pinning their
-//! snapshot caps, and a background **vacuum** pruning versions strictly
-//! below the oldest pinned cap (the *watermark*). This is the
-//! `running_transactions` + `Vacuum` pattern of xdb's `VersionManager`.
+//! The paper's §III-B garbage collector relies on three rules: versions
+//! are accessed by task id, the memory system is told when each task
+//! begins and ends, and no task is created below the oldest active one.
+//! That is a registry of live readers, each pinning a snapshot cap —
+//! which is also what free-threaded users of [`crate::OCell`] /
+//! [`crate::map::OMap`] (long-lived services where readers come and go)
+//! need. Everything strictly below the oldest pinned cap (the
+//! *watermark*) is unreachable and can be pruned. This is the
+//! `running_transactions` + `Vacuum` pattern of xdb's `VersionManager`,
+//! and one engine serves both users: [`Vacuum`] runs its passes on a
+//! background thread, [`crate::ORuntime`] after task completions (task
+//! begin is [`ReaderRegistry::pin_at`] of the task id, task end drops
+//! the guard).
 //!
 //! Protocol:
 //!
@@ -18,19 +23,19 @@
 //! 2. Readers call [`ReaderRegistry::pin`] *before* choosing a snapshot
 //!    cap and hold the returned [`ReaderGuard`] for the duration; the cap
 //!    is the guard's pinned version. Dropping the guard unpins.
-//! 3. The [`Vacuum`] periodically computes the watermark — the oldest
-//!    pinned cap, or the current clock when no reader is live — and calls
+//! 3. A pass computes the watermark — the oldest pinned cap, or the
+//!    current clock when no reader is live — and calls
 //!    [`crate::cell::Prune::prune_below`] on every tracked store.
 //!    `prune_below` keeps the newest version ≤ the boundary, so a reader
 //!    pinned exactly *at* the watermark still resolves every load.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
-
 use crate::cell::Prune;
+use crate::sync::{Condvar, Mutex};
 use crate::Version;
 
 /// Registry of live readers; the source of the vacuum's watermark and of
@@ -47,7 +52,7 @@ struct RegistryInner {
     /// Multiset of pinned caps (a cap may be pinned by several readers);
     /// each pin carries its creation instant so pin ages are observable
     /// while the guard is still parked.
-    pinned: Mutex<std::collections::BTreeMap<Version, Vec<Instant>>>,
+    pinned: Mutex<BTreeMap<Version, Vec<Instant>>>,
     /// Completed pin lifetimes, recorded at unpin.
     pin_age_us: Mutex<osim_metrics::Histogram>,
 }
@@ -73,7 +78,7 @@ impl ReaderRegistry {
         ReaderRegistry {
             inner: Arc::new(RegistryInner {
                 clock: AtomicU64::new(1),
-                pinned: Mutex::new(std::collections::BTreeMap::new()),
+                pinned: Mutex::new(BTreeMap::new()),
                 pin_age_us: Mutex::new(osim_metrics::Histogram::new()),
             }),
         }
@@ -89,7 +94,13 @@ impl ReaderRegistry {
     /// [`ReaderRegistry::advance_to`] it, so caps only ever cover
     /// published versions.
     pub fn next_version(&self) -> Version {
-        self.inner.clock.fetch_add(1, Ordering::Relaxed)
+        self.take_versions(1)
+    }
+
+    /// Allocates `n` consecutive versions in one step and returns the
+    /// first (the runtime's block of task ids).
+    pub(crate) fn take_versions(&self, n: u64) -> Version {
+        self.inner.clock.fetch_add(n, Ordering::Relaxed)
     }
 
     /// The newest version the clock has moved past (i.e. every allocated
@@ -101,7 +112,9 @@ impl ReaderRegistry {
     /// Advances the clock to at least `version + 1`, for writers that
     /// choose versions externally (e.g. task ids). Never moves backwards.
     pub fn advance_to(&self, version: Version) {
-        self.inner.clock.fetch_max(version + 1, Ordering::Relaxed);
+        self.inner
+            .clock
+            .fetch_max(version.saturating_add(1), Ordering::Relaxed);
     }
 
     /// Pins the newest allocated version as a snapshot cap and returns
@@ -141,9 +154,13 @@ impl ReaderRegistry {
     /// The reclamation boundary: the oldest pinned cap, or the current
     /// clock when no reader is live. Versions strictly below the newest
     /// version ≤ this value are unreachable by any current or future
-    /// reader.
+    /// reader (a reader pinning while a pass prunes at the clock waits
+    /// for that pass).
     pub fn watermark(&self) -> Version {
-        let pinned = self.inner.pinned.lock();
+        self.watermark_of(&self.inner.pinned.lock())
+    }
+
+    fn watermark_of(&self, pinned: &BTreeMap<Version, Vec<Instant>>) -> Version {
         match pinned.keys().next() {
             Some(&oldest) => oldest,
             None => self.inner.clock.load(Ordering::Relaxed),
@@ -244,21 +261,55 @@ pub struct VacuumStats {
     pub last_watermark: Version,
 }
 
-struct VacuumShared {
+/// The one reclamation engine: the tracked stores, the prune pass and
+/// its counters. [`Vacuum`] runs passes on a background cadence;
+/// [`crate::ORuntime`] runs them on task completions.
+pub(crate) struct Reclaimer {
     registry: ReaderRegistry,
     tracked: Mutex<Vec<Weak<dyn Prune + Send + Sync>>>,
     stats: Mutex<VacuumStats>,
     /// Per-pass duration in microseconds, merged into `osim-metrics`
     /// output via [`Vacuum::fill_registry`].
     pause_us: Mutex<osim_metrics::Histogram>,
-    stop: Mutex<bool>,
-    wake: Condvar,
 }
 
-impl VacuumShared {
-    fn pass(&self) -> u64 {
+impl Reclaimer {
+    pub(crate) fn new(registry: ReaderRegistry) -> Self {
+        Reclaimer {
+            registry,
+            tracked: Mutex::new(Vec::new()),
+            stats: Mutex::new(VacuumStats::default()),
+            pause_us: Mutex::new(osim_metrics::Histogram::new()),
+        }
+    }
+
+    pub(crate) fn registry(&self) -> &ReaderRegistry {
+        &self.registry
+    }
+
+    /// Tracks `store` by weak reference: dropping the store untracks it.
+    pub(crate) fn track<S: Prunable>(&self, store: &S) {
+        self.tracked.lock().push(store.prune_weak());
+    }
+
+    pub(crate) fn stats(&self) -> VacuumStats {
+        *self.stats.lock()
+    }
+
+    /// Prunes every live tracked store below the registry's watermark;
+    /// returns the number of versions reclaimed.
+    pub(crate) fn pass(&self) -> u64 {
         let started = Instant::now();
-        let boundary = self.registry.watermark();
+        // With no reader live the boundary is the clock, yet a reader
+        // pinning now would cap one below it, at a version this pass may
+        // drop once a writer publishes at the clock. So an idle pass keeps
+        // pins out until it has pruned. A live pin needs no such hold: no
+        // later pin caps below it.
+        let pinned = self.registry.inner.pinned.lock();
+        let boundary = self.registry.watermark_of(&pinned);
+        let idle_hold = pinned.is_empty().then_some(pinned);
+        // Snapshot the tracked set without holding its lock while pruning
+        // (pruning takes per-cell locks).
         let cells: Vec<_> = {
             let mut tracked = self.tracked.lock();
             tracked.retain(|w| w.strong_count() > 0);
@@ -270,6 +321,7 @@ impl VacuumShared {
                 reclaimed += cell.prune_below(boundary) as u64;
             }
         }
+        drop(idle_hold);
         {
             let mut stats = self.stats.lock();
             stats.passes += 1;
@@ -290,6 +342,12 @@ impl VacuumShared {
         }
         reclaimed
     }
+}
+
+struct VacuumShared {
+    reclaimer: Reclaimer,
+    stop: Mutex<bool>,
+    wake: Condvar,
 }
 
 /// Process-global roll-up across every vacuum instance, so the scrape
@@ -374,10 +432,7 @@ impl Vacuum {
     /// Starts the background thread pruning every `cfg.interval`.
     pub fn start(registry: ReaderRegistry, cfg: VacuumCfg) -> Self {
         let shared = Arc::new(VacuumShared {
-            registry,
-            tracked: Mutex::new(Vec::new()),
-            stats: Mutex::new(VacuumStats::default()),
-            pause_us: Mutex::new(osim_metrics::Histogram::new()),
+            reclaimer: Reclaimer::new(registry),
             stop: Mutex::new(false),
             wake: Condvar::new(),
         });
@@ -389,13 +444,13 @@ impl Vacuum {
                     let mut stop = bg.stop.lock();
                     if !*stop {
                         let deadline = Instant::now() + cfg.interval;
-                        let _ = bg.wake.wait_until(&mut stop, deadline);
+                        stop = bg.wake.wait_until(stop, deadline).0;
                     }
                     if *stop {
                         return;
                     }
                 }
-                bg.pass();
+                bg.reclaimer.pass();
             })
             .expect("spawn vacuum thread");
         Vacuum {
@@ -408,23 +463,23 @@ impl Vacuum {
     /// [`Prune`] handle). Tracking is by weak reference — dropping the
     /// store untracks it.
     pub fn track<S: Prunable>(&self, store: &S) {
-        self.shared.tracked.lock().push(store.prune_weak());
+        self.shared.reclaimer.track(store);
     }
 
     /// Runs one pass synchronously on the calling thread; returns the
     /// number of versions reclaimed.
     pub fn run_pass(&self) -> u64 {
-        self.shared.pass()
+        self.shared.reclaimer.pass()
     }
 
     /// Counters so far.
     pub fn stats(&self) -> VacuumStats {
-        *self.shared.stats.lock()
+        self.shared.reclaimer.stats()
     }
 
     /// The registry this vacuum reclaims against.
     pub fn registry(&self) -> &ReaderRegistry {
-        &self.shared.registry
+        self.shared.reclaimer.registry()
     }
 
     /// Folds the vacuum's telemetry into an `osim-metrics` registry:
@@ -447,12 +502,12 @@ impl Vacuum {
         reg.gauge_set(
             "ostructs_vacuum_watermark_lag",
             &[],
-            self.shared.registry.watermark_lag() as f64,
+            self.registry().watermark_lag() as f64,
         );
         reg.hist_mut("ostructs_vacuum_pause_us", &[])
-            .merge(&self.shared.pause_us.lock());
+            .merge(&self.shared.reclaimer.pause_us.lock());
         reg.hist_mut("ostructs_vacuum_reader_pin_age_us", &[])
-            .merge(&self.shared.registry.pin_ages_us());
+            .merge(&self.registry().pin_ages_us());
     }
 
     /// Stops the background thread and joins it. Idempotent; also run by
@@ -541,6 +596,15 @@ mod tests {
     }
 
     #[test]
+    fn advance_to_saturates_at_the_last_version() {
+        let reg = ReaderRegistry::new();
+        reg.advance_to(Version::MAX);
+        assert_eq!(reg.current(), Version::MAX);
+        reg.advance_to(Version::MAX - 7);
+        assert_eq!(reg.current(), Version::MAX);
+    }
+
+    #[test]
     fn vacuum_prunes_unpinned_history() {
         let reg = ReaderRegistry::new();
         let mut vac = Vacuum::start(reg.clone(), fast_cfg());
@@ -579,6 +643,61 @@ mod tests {
         drop(pin);
         vac.run_pass();
         assert_eq!(cell.version_count(), 1, "history drains after unpin");
+    }
+
+    #[test]
+    fn idle_pass_holds_new_pins_until_pruned() {
+        // An idle pass prunes at the clock while a new pin caps one below
+        // it. A probe tracked ahead of the cell lets a reader try to pin
+        // inside the pass, then publishes at the clock before the cell is
+        // pruned: a pin that got in would see its snapshot change.
+        struct Probe<F>(F);
+        impl<F: Fn() + Send + Sync> Prune for Probe<F> {
+            fn prune_below(&self, _: Version) -> usize {
+                (self.0)();
+                0
+            }
+        }
+        impl<F: Fn() + Send + Sync + 'static> Prunable for Arc<Probe<F>> {
+            fn prune_weak(&self) -> Weak<dyn Prune + Send + Sync> {
+                let probe: Arc<dyn Prune + Send + Sync> = self.clone();
+                Arc::downgrade(&probe)
+            }
+        }
+        let reg = ReaderRegistry::new();
+        let idle = VacuumCfg {
+            interval: Duration::from_secs(3600),
+        };
+        let vac = Vacuum::start(reg.clone(), idle);
+        let cell = OCell::with_initial(0, 0u64);
+        let (go_tx, go_rx) = std::sync::mpsc::channel();
+        let (read_tx, read_rx) = std::sync::mpsc::channel();
+        let (pruned_tx, pruned_rx) = std::sync::mpsc::channel();
+        let reader = {
+            let (reg, cell) = (reg.clone(), cell.clone());
+            std::thread::spawn(move || {
+                go_rx.recv().unwrap();
+                let pin = reg.pin();
+                let first = cell.try_load_latest(pin.cap());
+                read_tx.send(()).unwrap();
+                pruned_rx.recv().unwrap();
+                (first, cell.try_load_latest(pin.cap()))
+            })
+        };
+        let writer = cell.clone();
+        let read_rx = Mutex::new(read_rx);
+        let probe = Arc::new(Probe(move || {
+            go_tx.send(()).unwrap();
+            // Times out when the pass keeps the reader's pin out.
+            let _ = read_rx.lock().recv_timeout(Duration::from_millis(200));
+            writer.store_version(reg.current(), 1).unwrap();
+        }));
+        vac.track(&probe);
+        vac.track(&cell);
+        vac.run_pass();
+        pruned_tx.send(()).unwrap();
+        let (first, second) = reader.join().unwrap();
+        assert_eq!(first, second, "pinned snapshot changed underfoot");
     }
 
     #[test]
