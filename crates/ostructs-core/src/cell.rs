@@ -9,7 +9,10 @@
 //!
 //! * **Truth** stays in `Mutex<State>`: a `BTreeMap<Version, Slot>` plus
 //!   the per-task lock table and the `Condvar` that blocking operations
-//!   park on. All mutations and all *blocking* waits go through it.
+//!   park on. All mutations and all *blocking* waits go through it. A
+//!   load counts itself in `State::waiters` before it parks, and a store
+//!   or unlock wakes the condvar only when that count, read under the
+//!   mutex, is nonzero — an unwatched put makes no wake call.
 //! * **A read-mostly snapshot** of the version list is published behind a
 //!   `RwLock<Arc<Snapshot>>` and atomically swapped on every mutation.
 //!   Loads of already-committed versions resolve entirely against the
@@ -29,13 +32,14 @@
 //! so the `_arc` load variants return without cloning `T` at all.
 
 use std::cell::UnsafeCell;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::OError;
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{Condvar, Mutex, MutexGuard};
 use crate::{TaskId, Version};
 
 /// Maximum number of runs retained in the published read snapshot. A cell
@@ -175,6 +179,9 @@ struct State<T> {
     /// amortized instead of rewalking the map.
     window: Vec<Run<T>>,
     window_complete: bool,
+    /// Threads parked on `Inner::changed`. A mutation that could unblock
+    /// a load reads this under the mutex and skips the wake when it is 0.
+    waiters: usize,
 }
 
 impl<T> State<T> {
@@ -232,11 +239,10 @@ impl<T> State<T> {
                     }
                 }
             }
-            Some(first_any) => {
+            Some(_) => {
                 // Out-of-order store. Below the window floor it is already
                 // slow-path territory and the window stays valid; inside
                 // the window's span, rebuild.
-                let _ = first_any;
                 let floor = self.window.first().map_or(0, |r| r.lo);
                 if self.window_complete || v >= floor {
                     self.rebuild_window();
@@ -443,16 +449,29 @@ impl<T> Inner<T> {
                 return None;
             }
             timer.note_wait();
-            st = match wait {
-                Until(deadline) => {
-                    let (st, timed_out) = self.changed.wait_until(st, deadline);
-                    if timed_out {
-                        return None;
-                    }
-                    st
-                }
-                _ => self.changed.wait(st),
+            st.waiters += 1;
+            let timed_out;
+            (st, timed_out) = match wait {
+                Until(deadline) => self.changed.wait_until(st, deadline),
+                _ => (self.changed.wait(st), false),
             };
+            st.waiters -= 1;
+            if timed_out {
+                return None;
+            }
+        }
+    }
+
+    /// Releases the state mutex after a mutation that may unblock a load,
+    /// waking the parked loads if there are any. The count is read under
+    /// the mutex, and a load raises it under the same mutex before it
+    /// parks, so a load that checked the state before this mutation is
+    /// already counted.
+    fn wake_waiters(&self, st: MutexGuard<'_, State<T>>) {
+        let parked = st.waiters > 0;
+        drop(st);
+        if parked {
+            self.changed.notify_all();
         }
     }
 }
@@ -543,6 +562,7 @@ impl<T> OCell<T> {
                     held: HashMap::new(),
                     window: Vec::new(),
                     window_complete: true,
+                    waiters: 0,
                 }),
                 published: SnapLock::new(Arc::new(Snapshot::empty())),
                 changed: Condvar::new(),
@@ -568,20 +588,18 @@ impl<T> OCell<T> {
     /// of re-boxing it (the zero-copy publish path).
     pub fn store_version_arc(&self, version: Version, value: Arc<T>) -> Result<(), OError> {
         let mut st = self.inner.state.lock();
-        if st.versions.contains_key(&version) {
-            return Err(OError::VersionExists(version));
+        match st.versions.entry(version) {
+            Entry::Occupied(_) => return Err(OError::VersionExists(version)),
+            Entry::Vacant(slot) => {
+                slot.insert(Slot {
+                    value: Arc::clone(&value),
+                    locked_by: None,
+                });
+            }
         }
-        st.versions.insert(
-            version,
-            Slot {
-                value: Arc::clone(&value),
-                locked_by: None,
-            },
-        );
         st.window_note_store(version, &value);
         self.inner.publish(&st);
-        drop(st);
-        self.inner.changed.notify_all();
+        self.inner.wake_waiters(st);
         Ok(())
     }
 
@@ -842,8 +860,7 @@ impl<T: Clone> OCell<T> {
             if st.versions.contains_key(&vn) {
                 // Roll the unlock forward anyway; the create is the error.
                 self.inner.publish(&st);
-                drop(st);
-                self.inner.changed.notify_all();
+                self.inner.wake_waiters(st);
                 return Err(OError::VersionExists(vn));
             }
             st.versions.insert(
@@ -856,8 +873,7 @@ impl<T: Clone> OCell<T> {
             st.window_note_store(vn, &value);
         }
         self.inner.publish(&st);
-        drop(st);
-        self.inner.changed.notify_all();
+        self.inner.wake_waiters(st);
         Ok(())
     }
 }
@@ -1143,6 +1159,99 @@ mod tests {
             c.store_version(10 + i as u64, Fuse(Arc::clone(&armed)))
                 .unwrap();
         }
+    }
+
+    fn parked(c: &OCell<u32>) -> usize {
+        c.inner.state.lock().waiters
+    }
+
+    /// Waits until `n` loads are parked on `c`'s condvar.
+    fn until_parked(c: &OCell<u32>, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while parked(c) != n {
+            assert!(Instant::now() < deadline, "{} parked, want {n}", parked(c));
+            thread::yield_now();
+        }
+    }
+
+    /// Runs `op` on a thread, waits until it is parked, runs `wake`, and
+    /// returns what `op` returned — or fails if the wake was lost.
+    fn woken_by<R: Send + 'static>(
+        c: &OCell<u32>,
+        op: impl FnOnce(&OCell<u32>) -> R + Send + 'static,
+        wake: impl FnOnce(&OCell<u32>),
+    ) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let c2 = c.clone();
+        thread::spawn(move || tx.send(op(&c2)).unwrap());
+        until_parked(c, 1);
+        wake(c);
+        let r = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("parked load was never woken");
+        assert_eq!(parked(c), 0, "waiter count left stale");
+        r
+    }
+
+    #[test]
+    fn every_wake_site_wakes_every_kind_of_parked_load() {
+        // Each site, with a cell on which all three loads of version 2
+        // block: absent for the store, locked by task 5 for the unlocks.
+        type Site = (fn() -> OCell<u32>, fn(&OCell<u32>));
+        let locked = || {
+            let c = OCell::new();
+            c.store_version(2, 20).unwrap();
+            c.store_version(3, 30).unwrap();
+            c.lock_load_version(2, 5).unwrap();
+            c
+        };
+        let sites: [(&str, Site); 3] = [
+            ("store", (OCell::new, |c| c.store_version(2, 20).unwrap())),
+            ("unlock", (locked, |c| c.unlock_version(5, None).unwrap())),
+            (
+                "unlock with an existing rename target",
+                (locked, |c| {
+                    assert_eq!(c.unlock_version(5, Some(3)), Err(OError::VersionExists(3)))
+                }),
+            ),
+        ];
+        for (site, (make, wake)) in sites {
+            let c = make();
+            assert_eq!(woken_by(&c, |c| c.load_version(2), wake), 20, "{site}");
+            let c = make();
+            assert_eq!(woken_by(&c, |c| c.load_latest(2), wake), (2, 20), "{site}");
+            let c = make();
+            let got = woken_by(&c, |c| c.lock_load_version(2, 9), wake);
+            assert_eq!(got, Ok(20), "{site}");
+            assert_eq!(c.held_by(9), Some(2), "{site}");
+            c.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn timed_out_load_leaves_the_waiter_count_exact() {
+        let c: OCell<u32> = OCell::new();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let early = {
+            let (c, tx) = (c.clone(), tx.clone());
+            thread::spawn(move || tx.send(c.load_version(1)).unwrap())
+        };
+        until_parked(&c, 1);
+        assert_eq!(c.load_version_timeout(2, Duration::from_millis(30)), None);
+        assert_eq!(parked(&c), 1, "the timeout lowered the count it raised");
+        let late = {
+            let c = c.clone();
+            thread::spawn(move || tx.send(c.load_version(3)).unwrap())
+        };
+        until_parked(&c, 2);
+        for v in [1, 3] {
+            c.store_version(v, v as u32 * 10).unwrap();
+            let got = rx.recv_timeout(Duration::from_secs(10));
+            assert_eq!(got, Ok(v as u32 * 10), "waiter on {v} never woken");
+        }
+        early.join().unwrap();
+        late.join().unwrap();
+        assert_eq!(parked(&c), 0);
     }
 
     #[test]

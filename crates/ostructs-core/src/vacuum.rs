@@ -28,15 +28,27 @@
 //!    [`crate::cell::Prune::prune_below`] on every tracked store.
 //!    `prune_below` keeps the newest version ≤ the boundary, so a reader
 //!    pinned exactly *at* the watermark still resolves every load.
+//!
+//! The pins are striped so that readers on different threads share
+//! nothing: each thread takes one of a fixed set of cache-line-aligned
+//! stripes, round-robin on its first pin, and a pin or unpin locks only
+//! that stripe (a guard remembers its stripe, so it may be dropped on
+//! any thread). A pin chooses its cap while holding its stripe. The
+//! watermark, the reader count, the pin ages and a pass lock every
+//! stripe in index order; an idle pass (no live pin) keeps them all
+//! locked until it has pruned, so no pin can cap below its boundary.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use crate::cell::Prune;
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{Condvar, Mutex, MutexGuard};
 use crate::Version;
+
+/// Number of pin stripes per registry. Threads take stripes round-robin,
+/// so up to this many threads pin without sharing a lock or a cache line.
+const STRIPES: usize = 16;
 
 /// Registry of live readers; the source of the vacuum's watermark and of
 /// writers' monotone versions.
@@ -49,12 +61,38 @@ pub struct ReaderRegistry {
 struct RegistryInner {
     /// Monotone version clock: the next version a writer should use.
     clock: AtomicU64,
-    /// Multiset of pinned caps (a cap may be pinned by several readers);
-    /// each pin carries its creation instant so pin ages are observable
-    /// while the guard is still parked.
-    pinned: Mutex<BTreeMap<Version, Vec<Instant>>>,
+    /// The live pins, striped so a pin or unpin touches only its own
+    /// thread's stripe.
+    stripes: [Stripe; STRIPES],
+}
+
+/// One stripe on its own cache lines (128 bytes: x86 prefetches lines in
+/// pairs), so pins on different stripes never share a line.
+#[repr(align(128))]
+struct Stripe(Mutex<Pins>);
+
+#[derive(Default)]
+struct Pins {
+    /// Live pins: the cap and the pin's creation instant, so pin ages are
+    /// observable while the guard is still parked. Unordered, and a cap
+    /// may appear several times.
+    live: Vec<(Version, Instant)>,
     /// Completed pin lifetimes, recorded at unpin.
-    pin_age_us: Mutex<osim_metrics::Histogram>,
+    age_us: osim_metrics::Histogram,
+}
+
+/// Every stripe, locked. Only [`ReaderRegistry::lock_all`] holds more
+/// than one stripe, so all such holders lock in one order and cannot
+/// deadlock each other.
+type AllPins<'a> = [MutexGuard<'a, Pins>; STRIPES];
+
+/// The calling thread's stripe, assigned round-robin on first use.
+fn my_stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    }
+    STRIPE.with(|s| *s)
 }
 
 impl Clone for ReaderRegistry {
@@ -78,8 +116,7 @@ impl ReaderRegistry {
         ReaderRegistry {
             inner: Arc::new(RegistryInner {
                 clock: AtomicU64::new(1),
-                pinned: Mutex::new(BTreeMap::new()),
-                pin_age_us: Mutex::new(osim_metrics::Histogram::new()),
+                stripes: std::array::from_fn(|_| Stripe(Mutex::new(Pins::default()))),
             }),
         }
     }
@@ -122,33 +159,38 @@ impl ReaderRegistry {
     /// cap; the vacuum will not reclaim anything such a read could
     /// observe until the guard drops. Writers that allocate *after* the
     /// pin get versions above the cap, so the snapshot is stable.
-    pub fn pin(&self) -> ReaderGuard {
-        // Pin first, read the clock inside the lock: a concurrent vacuum
-        // computing the watermark serializes on the same mutex, so it can
+    pub fn pin(&self) -> ReaderGuard<'_> {
+        // Pin first, read the clock inside the stripe lock: a concurrent
+        // vacuum computing the watermark holds every stripe, so it can
         // never observe "no readers" after this reader chose its cap.
-        let mut pinned = self.inner.pinned.lock();
-        let cap = self.inner.clock.load(Ordering::Relaxed).saturating_sub(1);
-        pinned.entry(cap).or_default().push(Instant::now());
-        drop(pinned);
-        ReaderGuard {
-            registry: self.clone(),
-            cap,
-        }
+        self.pin_with(|| self.inner.clock.load(Ordering::Relaxed).saturating_sub(1))
     }
 
     /// Pins an explicit cap (for readers replaying a historical snapshot
     /// they know is still live).
-    pub fn pin_at(&self, cap: Version) -> ReaderGuard {
-        self.inner
-            .pinned
-            .lock()
-            .entry(cap)
-            .or_default()
-            .push(Instant::now());
+    pub fn pin_at(&self, cap: Version) -> ReaderGuard<'_> {
+        self.pin_with(|| cap)
+    }
+
+    /// Records a pin on the calling thread's stripe, choosing its cap
+    /// under the stripe lock.
+    fn pin_with(&self, cap: impl FnOnce() -> Version) -> ReaderGuard<'_> {
+        let stripe = my_stripe();
+        let mut pins = self.inner.stripes[stripe].0.lock();
+        let (cap, pinned_at) = (cap(), Instant::now());
+        pins.live.push((cap, pinned_at));
+        drop(pins);
         ReaderGuard {
-            registry: self.clone(),
+            registry: self,
+            stripe,
             cap,
+            pinned_at,
         }
+    }
+
+    /// Locks every stripe, in index order.
+    fn lock_all(&self) -> AllPins<'_> {
+        std::array::from_fn(|i| self.inner.stripes[i].0.lock())
     }
 
     /// The reclamation boundary: the oldest pinned cap, or the current
@@ -157,19 +199,19 @@ impl ReaderRegistry {
     /// reader (a reader pinning while a pass prunes at the clock waits
     /// for that pass).
     pub fn watermark(&self) -> Version {
-        self.watermark_of(&self.inner.pinned.lock())
+        self.watermark_of(&self.lock_all())
     }
 
-    fn watermark_of(&self, pinned: &BTreeMap<Version, Vec<Instant>>) -> Version {
-        match pinned.keys().next() {
-            Some(&oldest) => oldest,
-            None => self.inner.clock.load(Ordering::Relaxed),
-        }
+    fn watermark_of(&self, all: &AllPins<'_>) -> Version {
+        all.iter()
+            .flat_map(|pins| pins.live.iter().map(|&(cap, _)| cap))
+            .min()
+            .unwrap_or_else(|| self.inner.clock.load(Ordering::Relaxed))
     }
 
     /// Number of live reader guards.
     pub fn live_readers(&self) -> usize {
-        self.inner.pinned.lock().values().map(Vec::len).sum()
+        self.lock_all().iter().map(|pins| pins.live.len()).sum()
     }
 
     /// How far the version clock has run ahead of the reclamation
@@ -184,44 +226,38 @@ impl ReaderRegistry {
     /// the *current* age of every live pin, so a parked guard is visible
     /// before it unpins.
     pub fn pin_ages_us(&self) -> osim_metrics::Histogram {
-        let mut h = self.inner.pin_age_us.lock().clone();
-        let pinned = self.inner.pinned.lock();
-        for pins in pinned.values() {
-            for t0 in pins {
+        let mut h = osim_metrics::Histogram::new();
+        for pins in &self.lock_all() {
+            h.merge(&pins.age_us);
+            for (_, t0) in &pins.live {
                 h.record(t0.elapsed().as_micros() as u64);
             }
         }
         h
     }
 
-    fn unpin(&self, cap: Version) {
-        let mut pinned = self.inner.pinned.lock();
-        let age = if let Some(pins) = pinned.get_mut(&cap) {
-            let age = pins.pop();
-            if pins.is_empty() {
-                pinned.remove(&cap);
-            }
-            age
-        } else {
-            None
-        };
-        drop(pinned);
-        if let Some(t0) = age {
-            self.inner
-                .pin_age_us
-                .lock()
-                .record(t0.elapsed().as_micros() as u64);
+    fn unpin(&self, guard: &ReaderGuard) {
+        let mut pins = self.inner.stripes[guard.stripe].0.lock();
+        let me = (guard.cap, guard.pinned_at);
+        if let Some(i) = pins.live.iter().rposition(|&pin| pin == me) {
+            pins.live.swap_remove(i);
+            pins.age_us.record(me.1.elapsed().as_micros() as u64);
         }
     }
 }
 
-/// RAII pin on a snapshot cap; see [`ReaderRegistry::pin`].
-pub struct ReaderGuard {
-    registry: ReaderRegistry,
+/// RAII pin on a snapshot cap; see [`ReaderRegistry::pin`]. It unpins
+/// from the stripe it pinned on, whichever thread drops it. It borrows
+/// the registry rather than cloning the handle, so a pin bumps no shared
+/// reference count.
+pub struct ReaderGuard<'a> {
+    registry: &'a ReaderRegistry,
+    stripe: usize,
     cap: Version,
+    pinned_at: Instant,
 }
 
-impl ReaderGuard {
+impl ReaderGuard<'_> {
     /// The pinned snapshot cap — use it as the version cap for every load
     /// performed under this guard.
     pub fn cap(&self) -> Version {
@@ -229,9 +265,9 @@ impl ReaderGuard {
     }
 }
 
-impl Drop for ReaderGuard {
+impl Drop for ReaderGuard<'_> {
     fn drop(&mut self) {
-        self.registry.unpin(self.cap);
+        self.registry.unpin(self);
     }
 }
 
@@ -305,9 +341,9 @@ impl Reclaimer {
         // drop once a writer publishes at the clock. So an idle pass keeps
         // pins out until it has pruned. A live pin needs no such hold: no
         // later pin caps below it.
-        let pinned = self.registry.inner.pinned.lock();
-        let boundary = self.registry.watermark_of(&pinned);
-        let idle_hold = pinned.is_empty().then_some(pinned);
+        let all = self.registry.lock_all();
+        let boundary = self.registry.watermark_of(&all);
+        let idle_hold = all.iter().all(|pins| pins.live.is_empty()).then_some(all);
         // Snapshot the tracked set without holding its lock while pruning
         // (pruning takes per-cell locks).
         let cells: Vec<_> = {
@@ -797,6 +833,122 @@ mod tests {
         assert!(h.count() >= 2);
         assert!(after.gauge("osim_vacuum_watermark", &[]).is_some());
         assert!(after.gauge("osim_vacuum_watermark_lag", &[]).is_some());
+    }
+
+    /// Pins `cap` on a fresh thread and hands the guard back, so the pin
+    /// sits on that thread's stripe.
+    fn pin_elsewhere(reg: &ReaderRegistry, cap: Version) -> ReaderGuard<'_> {
+        std::thread::scope(|s| s.spawn(|| reg.pin_at(cap)).join().unwrap())
+    }
+
+    fn live_on(reg: &ReaderRegistry, stripe: usize) -> Vec<Version> {
+        let pins = reg.inner.stripes[stripe].0.lock();
+        pins.live.iter().map(|&(cap, _)| cap).collect()
+    }
+
+    #[test]
+    fn guard_dropped_on_another_thread_unpins_its_own_stripe() {
+        let reg = ReaderRegistry::new();
+        let held = reg.pin_at(3);
+        let moved = reg.pin_at(5);
+        assert_eq!(live_on(&reg, moved.stripe), vec![3, 5]);
+        let other = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mine = reg.pin_at(9);
+                drop(moved);
+                mine
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(live_on(&reg, held.stripe), vec![3], "unpinned at home");
+        assert_eq!(reg.live_readers(), 2);
+        assert_eq!(reg.watermark(), 3);
+        drop(held);
+        assert_eq!(reg.watermark(), 9, "the other thread's pin remains");
+        drop(other);
+        assert_eq!(reg.live_readers(), 0);
+        assert_eq!(reg.pin_ages_us().count(), 3);
+    }
+
+    #[test]
+    fn more_pinning_threads_than_stripes_share_stripes() {
+        let reg = ReaderRegistry::new();
+        let n = 2 * STRIPES + 3;
+        let pinned = std::sync::Barrier::new(n + 1);
+        let checked = std::sync::Barrier::new(n + 1);
+        std::thread::scope(|s| {
+            for i in 0..n {
+                let (reg, pinned, checked) = (&reg, &pinned, &checked);
+                s.spawn(move || {
+                    let guard = reg.pin_at(100 + i as Version);
+                    pinned.wait();
+                    checked.wait();
+                    drop(guard);
+                });
+            }
+            pinned.wait();
+            assert_eq!(reg.live_readers(), n);
+            assert_eq!(reg.watermark(), 100);
+            let fullest = (0..STRIPES).map(|i| live_on(&reg, i).len()).max();
+            assert!(fullest >= Some(2), "{n} pins on {STRIPES} stripes");
+            checked.wait();
+        });
+        assert_eq!(reg.live_readers(), 0);
+        assert_eq!(reg.watermark(), reg.current());
+        assert_eq!(reg.pin_ages_us().count(), n as u64);
+    }
+
+    #[test]
+    fn duplicate_caps_on_different_stripes_unpin_separately() {
+        let reg = ReaderRegistry::new();
+        let here = reg.pin_at(7);
+        let there = std::iter::repeat_with(|| pin_elsewhere(&reg, 7))
+            .find(|g| g.stripe != here.stripe)
+            .unwrap();
+        assert_eq!(reg.live_readers(), 2);
+        drop(here);
+        assert_eq!(reg.watermark(), 7, "the other stripe's pin still holds");
+        assert_eq!(live_on(&reg, there.stripe), vec![7]);
+        drop(there);
+        assert_eq!(reg.live_readers(), 0);
+        assert_eq!(reg.watermark(), reg.current());
+    }
+
+    #[test]
+    fn watermark_is_the_minimum_across_stripes() {
+        let reg = ReaderRegistry::new();
+        reg.advance_to(200);
+        let here = reg.pin_at(50);
+        let low = pin_elsewhere(&reg, 20);
+        let high = pin_elsewhere(&reg, 90);
+        assert_eq!(reg.watermark(), 20);
+        drop(low);
+        assert_eq!(reg.watermark(), 50);
+        drop(here);
+        assert_eq!(reg.watermark(), 90);
+        assert_eq!(reg.watermark_lag(), 201 - 90);
+        drop(high);
+        assert_eq!(reg.watermark(), 201);
+    }
+
+    #[test]
+    fn readers_and_pin_ages_sum_across_stripes() {
+        let reg = ReaderRegistry::new();
+        let vac = Vacuum::start(reg.clone(), fast_cfg());
+        let done: Vec<_> = (0..4).map(|cap| pin_elsewhere(&reg, cap)).collect();
+        drop(done);
+        let live: Vec<_> = (0..3).map(|cap| pin_elsewhere(&reg, cap)).collect();
+        let here = reg.pin();
+        assert_eq!(reg.live_readers(), 4);
+        assert_eq!(reg.pin_ages_us().count(), 4 + 4, "completed + live");
+        let mut m = osim_metrics::Registry::new();
+        vac.fill_registry(&mut m);
+        let ages = m.hist("ostructs_vacuum_reader_pin_age_us", &[]).unwrap();
+        assert_eq!(ages.count(), 8, "live pins on every stripe are exported");
+        drop((live, here));
+        assert_eq!(reg.live_readers(), 0);
+        assert_eq!(reg.pin_ages_us().count(), 8);
     }
 
     #[test]
