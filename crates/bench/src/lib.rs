@@ -1,25 +1,6 @@
-//! Shared configuration for the criterion benches.
+//! Criterion microbenchmarks, one layer at a time.
 //!
-//! Every bench here drives a *simulation*; what criterion measures is the
-//! host time to simulate one configuration, which tracks the simulated
-//! cycle count closely for a fixed machine. The figures themselves are
-//! regenerated (in simulated cycles, with full validation) by
-//! `cargo run -p osim-experiments --release -- <figN>`; the benches keep
-//! the same sweeps continuously exercised and timed at a criterion-friendly
-//! size.
-
-use osim_workloads::harness::DsCfg;
-
-/// A bench-sized irregular workload (small enough for criterion's
-/// repeated sampling).
-pub fn bench_cfg(initial: usize, ops: usize, reads_per_write: u32) -> DsCfg {
-    DsCfg {
-        initial,
-        ops,
-        reads_per_write,
-        scan_range: 0,
-        key_space: initial as u32 * 4,
-        seed: 0xbe,
-        insert_only: false,
-    }
-}
+//! `benches/hotpath.rs` times engine dispatch, the cache hierarchy and the
+//! version manager in isolation; `benches/software_cell.rs` times the
+//! software O-structure cell. End-to-end speed of the simulator and the
+//! store is measured by `osbench` (see `osbench/METRICS.md`).

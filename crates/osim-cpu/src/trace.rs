@@ -15,7 +15,10 @@
 //! Tracing is off by default (zero overhead beyond a branch); enable it
 //! with [`crate::Machine::enable_trace`].
 
+use std::ops::Deref;
+
 use osim_engine::Cycle;
+use osim_mem::EventLog;
 
 use crate::stats::StallCause;
 
@@ -107,14 +110,20 @@ impl TraceRecord {
 }
 
 /// A bounded in-memory trace (ring buffer: newest records win).
+///
+/// The ring is an [`EventLog`]; its read side (`len`, `is_empty`,
+/// `records` in issue order, `dropped`) is reached through `Deref`.
 #[derive(Default)]
 pub struct Trace {
-    records: Vec<TraceRecord>,
-    capacity: usize,
-    /// Next slot to overwrite once the buffer is full.
-    head: usize,
-    /// Records overwritten after the buffer filled.
-    pub dropped: u64,
+    log: EventLog<TraceRecord>,
+}
+
+impl Deref for Trace {
+    type Target = EventLog<TraceRecord>;
+
+    fn deref(&self) -> &EventLog<TraceRecord> {
+        &self.log
+    }
 }
 
 impl Trace {
@@ -124,53 +133,19 @@ impl Trace {
 
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         Trace {
-            records: Vec::with_capacity(capacity.min(1 << 20)),
-            capacity,
-            head: 0,
-            dropped: 0,
+            log: EventLog::with_capacity(capacity),
         }
-    }
-
-    #[inline]
-    pub(crate) fn enabled(&self) -> bool {
-        self.capacity > 0
     }
 
     #[inline]
     pub(crate) fn push(&mut self, r: TraceRecord) {
-        if self.records.len() < self.capacity {
-            self.records.push(r);
-        } else {
-            self.records[self.head] = r;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    /// Number of records currently held.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The captured records in issue order (oldest surviving record
-    /// first). Copies, because the ring's storage order differs from
-    /// issue order once it has wrapped.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        let mut out = Vec::with_capacity(self.records.len());
-        out.extend_from_slice(&self.records[self.head..]);
-        out.extend_from_slice(&self.records[..self.head]);
-        out
+        self.log.push(r);
     }
 
     /// Aggregates the trace per operation kind.
     pub fn summary(&self) -> TraceSummary {
         let mut s = TraceSummary::default();
-        for r in &self.records {
+        for r in self.records() {
             let idx = match OpKind::ALL.iter().position(|k| *k == r.kind) {
                 Some(i) => i,
                 None => unreachable!("known kind"),

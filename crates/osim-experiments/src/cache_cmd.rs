@@ -95,7 +95,7 @@ pub fn stats(dir: &Path, json: bool) -> i32 {
     let figs = by_figure(&labels);
     if json {
         // Entry reads above went through the store's timed path; surface
-        // the same quantile shape BENCH_cache.json uses.
+        // their latency quantiles.
         let h = store.read_hist();
         let doc = obj(vec![
             ("schema", Json::Str("osim-cache-stats-v1".to_string())),

@@ -25,12 +25,6 @@
 //!                         contenders of a figure workload (`--fig <6|7|9|10>`,
 //!                         default 7; `--sample-every <cycles>` telemetry epoch)
 //!   all      everything above
-//!   perf                — host-speed benchmark; writes BENCH_sweep.json.
-//!                         With `--ostructs`, benchmarks the concurrent
-//!                         versioned store instead (committed-read fast
-//!                         path vs the pre-sharding mutex baseline,
-//!                         multi-thread throughput, zipf mix with a live
-//!                         vacuum) and writes BENCH_ostructs.json
 //!   compare             — diff two `--json` report files: counters, stall
 //!                         causes, histograms, ranked regression attribution
 //!   cache               — run-cache maintenance: `stats`, `verify` (decode
@@ -47,11 +41,6 @@
 //! from splitmix64 stream `n` instead of FIFO order. A given seed is
 //! byte-identical across `--jobs` counts and both schedulers, but its
 //! numbers may legally differ from the committed (unshaken) references.
-//!
-//! `perf` additionally accepts `--reps <n>` (repetitions, default 3) and
-//! `--baseline-ms <ms> [--baseline-ref <label>]` to embed the reference
-//! sweep time (and the commit it came from) in the emitted document,
-//! which then carries a computed `speedup_vs_baseline`.
 //!
 //! `--full` uses the paper's workload sizes (slow: gem5 took hours on
 //! these too); the default is a proportionally scaled-down configuration
@@ -103,8 +92,7 @@
 //! `--scheduler`, `--progress`) are deliberately *not* part of the key.
 //! Corrupt or stale entries are detected, dropped, and re-run; a cache
 //! can slow an invocation down but never change or fail it. `--cache off`
-//! (the default) disables it. `perf --cache-bench` measures the cold
-//! vs warm sweep and writes `BENCH_cache.json`.
+//! (the default) disables it.
 //!
 //! `--metrics-addr <host:port>` (default `off`) arms the live
 //! observability plane for the invocation: a flight recorder sampling
@@ -135,7 +123,6 @@ use osim_report::json::Json;
 use osim_report::SimReport;
 
 mod analyze;
-mod cache_bench;
 mod cache_cmd;
 mod common;
 mod compare_cmd;
@@ -148,8 +135,6 @@ mod fig8;
 mod fig9;
 mod gc;
 mod obsv;
-mod ostructs_perf;
-mod perf;
 mod runcache;
 mod runner;
 mod stress;
@@ -268,18 +253,6 @@ fn main() {
     } else {
         false
     };
-    let ostructs = if let Some(i) = args.iter().position(|a| a == "--ostructs") {
-        args.remove(i);
-        true
-    } else {
-        false
-    };
-    let cache_bench = if let Some(i) = args.iter().position(|a| a == "--cache-bench") {
-        args.remove(i);
-        true
-    } else {
-        false
-    };
     let cache_flag = take_value(&mut args, "--cache").filter(|v| v != "off");
     let inject =
         take_value(&mut args, "--inject").map(|spec| match osim_uarch::FaultPlan::parse(&spec) {
@@ -310,22 +283,6 @@ fn main() {
             .map(|n| n.get())
             .unwrap_or(1),
     };
-    let baseline_ms = take_value(&mut args, "--baseline-ms").map(|v| match v.parse::<f64>() {
-        Ok(ms) if ms > 0.0 => ms,
-        _ => {
-            eprintln!("--baseline-ms requires a positive number, got {v:?}");
-            std::process::exit(2);
-        }
-    });
-    let baseline_ref = take_value(&mut args, "--baseline-ref");
-    let baseline = baseline_ms.map(|ms| {
-        (
-            ms,
-            baseline_ref
-                .clone()
-                .unwrap_or_else(|| "baseline".to_string()),
-        )
-    });
     let fig_flag = take_value(&mut args, "--fig");
     let shake_seed = take_value(&mut args, "--shake-seed").map(|v| match v.parse::<u64>() {
         Ok(n) => n,
@@ -353,16 +310,6 @@ fn main() {
             }
         },
         None => 2048,
-    };
-    let reps = match take_value(&mut args, "--reps") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--reps requires a positive integer, got {v:?}");
-                std::process::exit(2);
-            }
-        },
-        None => 3,
     };
     let full = args.iter().any(|a| a == "--full");
     let tiny = args.iter().any(|a| a == "--tiny");
@@ -474,25 +421,6 @@ fn main() {
             obsv::host_chrome_flush();
             std::process::exit(code);
         }
-        "perf" if ostructs => ostructs_perf::run(scale_name, reps, "BENCH_ostructs.json"),
-        "perf" if cache_bench => {
-            // The benchmark owns its cache (cleared first, all three
-            // passes measured); an armed session cache would taint the
-            // cold pass, so `--cache <dir>` just redirects the scratch
-            // directory.
-            runner::set_cache(None);
-            let dir = cache_flag
-                .clone()
-                .unwrap_or_else(|| ".osim-cache-bench".to_string());
-            cache_bench::run(
-                &scale,
-                scale_name,
-                jobs,
-                std::path::Path::new(&dir),
-                "BENCH_cache.json",
-            );
-        }
-        "perf" => perf::run(&scale, scale_name, jobs, reps, baseline, "BENCH_sweep.json"),
         "all" => {
             common::print_config();
             fig6::run(&scale, stats, jobs, &mut reports);
@@ -505,16 +433,16 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: osim-experiments <config|fig6|fig7|fig8|fig9|fig10|gc|trace|analyze|all|perf|stress> \
-                 [--full|--tiny] [--scale <quick|tiny|full>] [--jobs <n>] [--reps <n>] \
+                "usage: osim-experiments <config|fig6|fig7|fig8|fig9|fig10|gc|trace|analyze|all|stress> \
+                 [--full|--tiny] [--scale <quick|tiny|full>] [--jobs <n>] \
                  [--stats] [--json <path>] [--chrome <path>] \
                  [--scheduler <calendar|heap>] \
                  [--fig <6|7|9|10>] [--sample-every <cycles>] \
                  [--shake-seed <n>] [--seeds <n>] \
-                 [--progress] [--sweep-json <path>] [--ostructs] [--cache-bench] \
+                 [--progress] [--sweep-json <path>] \
                  [--cache <dir|off>] \
                  [--metrics-addr <host:port|off>] [--host-chrome <path>] \
-                 [--inject <spec>] [--baseline-ms <ms> [--baseline-ref <label>]]\n\
+                 [--inject <spec>]\n\
                  \n\
                  osim-experiments compare <a.json> <b.json> [--json <path>]\n\
                  osim-experiments cache <stats|verify|clear> [--cache <dir>] [--json]\n\
@@ -530,10 +458,6 @@ fn main() {
                  stats (entry counts, bytes), verify (decode every entry with\n\
                  per-entry blame; exit 1 if any is bad), clear. --json prints\n\
                  the machine-readable document instead.\n\
-                 \n\
-                 perf --cache-bench: cold vs warm sweep benchmark; writes\n\
-                 BENCH_cache.json with hit/miss counts, per-entry read latency\n\
-                 quantiles, and the warm speedup.\n\
                  \n\
                  stress: schedule-shaking robustness harness. Runs every quick\n\
                  figure under --seeds (default 25) seeded tie-break perturbations\n\

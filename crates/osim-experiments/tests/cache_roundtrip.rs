@@ -7,6 +7,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use osim_report::json::{parse, Json};
+
 /// A unique scratch path under the system temp dir.
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("osim-cachetest-{}-{tag}", std::process::id()))
@@ -47,6 +49,40 @@ fn cache_cmd(action: &str, dir: &std::path::Path, json: bool) -> (i32, String) {
     )
 }
 
+/// [`sweep`] with `--sweep-json`: also returns the document's
+/// `cache_hits` and each job row's `cache_hit` flag (after checking
+/// `job_count` against the rows).
+fn sweep_with_hits(args: &[&str], cache: &str, tag: &str) -> (Vec<u8>, Vec<u8>, u64, Vec<bool>) {
+    let path = scratch(&format!("{tag}-sweep.json"));
+    let mut args = args.to_vec();
+    args.extend(["--sweep-json", path.to_str().expect("utf-8 temp path")]);
+    let (out, json) = sweep(&args, cache, tag);
+    let text = std::fs::read_to_string(&path).expect("--sweep-json file written");
+    let _ = std::fs::remove_file(&path);
+    let doc = parse(&text).expect("valid JSON");
+    let hits = doc
+        .get("cache_hits")
+        .and_then(Json::as_u64)
+        .expect("cache_hits");
+    let jobs: Vec<bool> = doc
+        .get("jobs")
+        .and_then(Json::as_arr)
+        .expect("jobs array")
+        .iter()
+        .map(|j| {
+            j.get("cache_hit")
+                .and_then(Json::as_bool)
+                .expect("cache_hit")
+        })
+        .collect();
+    assert_eq!(
+        doc.get("job_count").and_then(Json::as_u64),
+        Some(jobs.len() as u64),
+        "job_count disagrees with the job rows"
+    );
+    (out, json, hits, jobs)
+}
+
 fn entry_files(dir: &std::path::Path) -> Vec<PathBuf> {
     let mut v: Vec<PathBuf> = std::fs::read_dir(dir)
         .expect("cache dir exists")
@@ -64,13 +100,22 @@ fn warm_rerun_is_byte_identical_and_entries_verify() {
     let _ = std::fs::remove_dir_all(&dir);
     let dirs = dir.to_str().expect("utf-8 temp path");
 
-    let (cold_out, cold_json) = sweep(&["gc", "--tiny"], dirs, "cold");
+    let (cold_out, cold_json, cold_hits, cold_jobs) =
+        sweep_with_hits(&["gc", "--tiny"], dirs, "cold");
     let entries = entry_files(&dir);
     assert!(!entries.is_empty(), "cold run populated the cache");
+    assert_eq!(cold_hits, 0, "an empty cache cannot hit");
+    assert!(cold_jobs.iter().all(|&hit| !hit), "a cold job hit");
 
-    // Warm rerun: same bytes, no new entries. A different --jobs count is
-    // used on purpose: host-only knobs must not miss the cache.
-    let (warm_out, warm_json) = sweep(&["gc", "--tiny", "--jobs", "3"], dirs, "warm");
+    // Warm rerun: same bytes, no new entries, and every job a hit (byte
+    // identity alone would also pass if the cache never hit). A different
+    // --jobs count is used on purpose: host-only knobs must not miss the
+    // cache.
+    let (warm_out, warm_json, warm_hits, warm_jobs) =
+        sweep_with_hits(&["gc", "--tiny", "--jobs", "3"], dirs, "warm");
+    assert!(!warm_jobs.is_empty(), "the warm sweep ran no jobs");
+    assert_eq!(warm_hits, warm_jobs.len() as u64, "warm sweep missed");
+    assert!(warm_jobs.iter().all(|&hit| hit), "a warm job missed");
     assert_eq!(cold_out, warm_out, "stdout diverged between cold and warm");
     assert_eq!(
         cold_json, warm_json,

@@ -13,9 +13,12 @@ use std::process::Command;
 
 /// Runs the experiments binary, returning (stdout bytes, `--json` bytes).
 fn sweep(args: &[&str], scheduler: &str) -> (Vec<u8>, Vec<u8>) {
+    // The tests of this file run in parallel in one process: the path
+    // names the arguments as well as the scheduler.
     let json_path: PathBuf = std::env::temp_dir().join(format!(
-        "osim-sched-eq-{}-{scheduler}.json",
-        std::process::id()
+        "osim-sched-eq-{}-{}-{scheduler}.json",
+        std::process::id(),
+        args.join("_")
     ));
     let out = Command::new(env!("CARGO_BIN_EXE_osim-experiments"))
         .args(args)

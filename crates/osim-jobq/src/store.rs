@@ -171,12 +171,6 @@ impl TextStore {
         }
     }
 
-    /// Empties the memory tier (forcing subsequent hits through disk) —
-    /// used by the cache benchmark to time the disk tier in isolation.
-    pub fn drop_memory(&self) {
-        self.mem_lock().clear();
-    }
-
     /// Paths of the disk tier's entry files, sorted by name. Temp files
     /// and foreign files are excluded.
     pub fn disk_entries(&self) -> Vec<PathBuf> {
@@ -288,17 +282,6 @@ mod tests {
         assert_eq!(s2.get(&key(2)).as_deref(), Some("{\"v\":2}"));
         assert_eq!(s2.counts().disk_hits, 1);
         assert_eq!(s2.disk_entries().len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn drop_memory_forces_disk_reads() {
-        let dir = tmp_dir("dropmem");
-        let s = TextStore::at_dir(&dir);
-        s.put(&key(3), "x");
-        s.drop_memory();
-        assert_eq!(s.get(&key(3)).as_deref(), Some("x"));
-        assert_eq!(s.counts().disk_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
