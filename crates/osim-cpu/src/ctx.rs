@@ -4,13 +4,13 @@ use std::cell::{Cell, RefCell};
 use std::convert::Infallible;
 use std::rc::Rc;
 
-use osim_engine::{Cycle, Gate, SimHandle, WaitInfo, Wake, WakeFilter, WakeOrigin};
+use osim_engine::{Cycle, Gate, SimHandle, WaitInfo, Wake, WakeOrigin};
 use osim_mem::{AccessKind, Fault};
 use osim_uarch::{BlockReason, OpOutcome, TaskId, Version};
 
 use crate::capture::DepEdge;
 use crate::error::TaskFault;
-use crate::machine::{MachineState, WakeupPolicy};
+use crate::machine::MachineState;
 use crate::stats::StallCause;
 use crate::trace::{OpKind, TraceRecord};
 
@@ -423,25 +423,7 @@ impl TaskCtx {
                     // sleep must still wake us. An injected coherence delay
                     // stretches the failed attempt (the invalidation's
                     // effect arrives late), not the wake-up.
-                    //
-                    // Under targeted delivery the ticket also registers what
-                    // we await: an exact load can only be satisfied by its
-                    // version appearing (or unlocking); a capped load by any
-                    // version at or below the cap. Broadcast openers ignore
-                    // the filter, so registering it is behaviour-neutral
-                    // until the machine opts into `WakeupPolicy::Targeted`.
-                    let wakeup = self.st.borrow().wakeup;
-                    let ticket = match wakeup {
-                        WakeupPolicy::Broadcast => self.gate_for(va).ticket(),
-                        WakeupPolicy::Targeted => {
-                            let filter = if latest {
-                                WakeFilter::AtMost(u64::from(v))
-                            } else {
-                                WakeFilter::Exact(u64::from(v))
-                            };
-                            self.gate_for(va).ticket_filtered(filter)
-                        }
-                    };
+                    let ticket = self.gate_for(va).ticket();
                     self.h.sleep(latency + coh_extra).await;
                     let woken = ticket.await;
                     self.h.clear_wait_info();
@@ -490,16 +472,8 @@ impl TaskCtx {
         self.h.sleep(latency).await;
         let stall = (trap > 0).then_some(StallCause::FreeListGc);
         self.trace(OpKind::VersionedStore, va, v, self.h.now() - latency, stall);
-        let wakeup = self.st.borrow().wakeup;
-        let origin = self.wake_origin();
-        match wakeup {
-            WakeupPolicy::Broadcast => self.gate_for(va).open_tagged_from(wake::STORE, origin),
-            // A store publishes exactly one version.
-            WakeupPolicy::Targeted => {
-                self.gate_for(va)
-                    .open_targeted_from(wake::STORE, &[u64::from(v)], origin)
-            }
-        }
+        self.gate_for(va)
+            .open_tagged_from(wake::STORE, self.wake_origin());
     }
 
     /// `UNLOCK-VERSION`: unlocks `vl` (held by this task); with
@@ -537,20 +511,8 @@ impl TaskCtx {
         self.h.sleep(latency).await;
         let stall = (trap > 0).then_some(StallCause::FreeListGc);
         self.trace(OpKind::Unlock, va, vl, self.h.now() - latency, stall);
-        let wakeup = self.st.borrow().wakeup;
-        let origin = self.wake_origin();
-        match wakeup {
-            WakeupPolicy::Broadcast => self.gate_for(va).open_tagged_from(wake::UNLOCK, origin),
-            // An unlock makes the locked version readable, and a rename
-            // additionally publishes the created version; one open carrying
-            // both keeps matching waiters waking in park order (two separate
-            // opens would reorder them relative to a broadcast).
-            WakeupPolicy::Targeted => {
-                let payloads = [u64::from(vl), u64::from(create.unwrap_or(vl))];
-                self.gate_for(va)
-                    .open_targeted_from(wake::UNLOCK, &payloads, origin)
-            }
-        }
+        self.gate_for(va)
+            .open_tagged_from(wake::UNLOCK, self.wake_origin());
     }
 
     /// Releases an entire O-structure (every version block back to the

@@ -35,7 +35,7 @@ pub mod trace;
 pub use capture::{CaptureCfg, DepEdge, Sample};
 pub use ctx::{wake, TaskCtx};
 pub use error::{BlameEntry, DeadlockReport, SimError, TaskFault, WaitClass, WatchdogReport};
-pub use machine::{Machine, MachineCfg, MachineState, PhaseReport, WakeupPolicy};
+pub use machine::{Machine, MachineCfg, MachineState, PhaseReport};
 pub use osim_engine::{EngineHists, EngineStats, SchedulerKind, ShakePolicy};
 pub use runtime::{task, TaskFn};
 pub use rwlock::SimRwLock;

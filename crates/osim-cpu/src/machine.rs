@@ -18,25 +18,6 @@ use crate::runtime::{self, TaskFn};
 use crate::stats::{CpuStats, RunHists};
 use crate::trace::Trace;
 
-/// How a completed `STORE-VERSION` / `UNLOCK-VERSION` wakes the tasks
-/// parked on its O-structure's gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WakeupPolicy {
-    /// Wake every parked waiter; each re-checks its condition and re-parks
-    /// if still unsatisfied (the paper's model, and the default). The
-    /// failed re-checks are themselves modeled operations, so this policy
-    /// defines the reference timing.
-    #[default]
-    Broadcast,
-    /// Wake only waiters whose awaited version could have been satisfied
-    /// by the publishing operation (an ablation): blocked loads register
-    /// the version they await, and openers pass the version(s) they
-    /// published. Skipped waiters never pay the wake/re-check round trip,
-    /// so simulated timing can differ from broadcast wherever a failed
-    /// re-check would have touched the caches.
-    Targeted,
-}
-
 /// Machine configuration.
 #[derive(Debug, Clone)]
 pub struct MachineCfg {
@@ -57,8 +38,6 @@ pub struct MachineCfg {
     /// diagnostic dump of every parked task. `None` disables it (the
     /// default — deterministic timing is unaffected).
     pub watchdog_cycles: Option<u64>,
-    /// Gate wake-up delivery policy (default [`WakeupPolicy::Broadcast`]).
-    pub wakeup: WakeupPolicy,
     /// Event-queue implementation for the engine (default
     /// [`SchedulerKind::CalendarQueue`]). Timing is identical under every
     /// kind; only host speed differs.
@@ -86,7 +65,6 @@ impl MachineCfg {
             issue_width: 2,
             malloc_instrs: 40,
             watchdog_cycles: None,
-            wakeup: WakeupPolicy::default(),
             scheduler: SchedulerKind::default(),
             shake: ShakePolicy::default(),
             capture: CaptureCfg::default(),
@@ -119,7 +97,6 @@ pub struct MachineState {
     pub(crate) sampler: Sampler,
     pub(crate) issue_width: u64,
     pub(crate) malloc_instrs: u64,
-    pub(crate) wakeup: WakeupPolicy,
     /// First architectural fault recorded by a task before it halted the
     /// engine; drained by [`Machine::run_tasks`].
     pub(crate) fault: Option<TaskFault>,
@@ -261,7 +238,6 @@ impl Machine {
             hist_run_quantum: Histogram::new(),
             issue_width: cfg.issue_width,
             malloc_instrs: cfg.malloc_instrs,
-            wakeup: cfg.wakeup,
             fault: None,
         };
         Ok(Machine {

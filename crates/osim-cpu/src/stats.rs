@@ -10,7 +10,8 @@ use osim_metrics::Histogram;
 pub struct RunHists {
     /// Cycles tasks spent parked on gates before their wakeup fired.
     pub gate_wait: Histogram,
-    /// Waiters released per gate-open event (0 when an open found no one).
+    /// Waiters released per gate-open event (an open that finds no one is
+    /// not recorded).
     pub wake_fanout: Histogram,
     /// Cycles charged per version-list walk in the O-structure manager.
     pub version_walk: Histogram,

@@ -133,8 +133,8 @@ pub struct EngineStats {
 pub struct EngineHists {
     /// Simulated cycles each gate waiter spent parked before its wake.
     pub gate_wait: Histogram,
-    /// Waiters released per gate open (0 when a targeted open matched
-    /// nobody; empty-queue opens are not recorded).
+    /// Waiters released per gate open (an open with no waiters returns
+    /// early and is not recorded).
     pub wake_fanout: Histogram,
 }
 

@@ -42,37 +42,6 @@ pub struct Wake {
     pub origin: WakeOrigin,
 }
 
-/// What a parked waiter is prepared to be woken by, evaluated against the
-/// payload words an [`Gate::open_targeted`] carries.
-///
-/// Broadcast opens ([`Gate::open`] and friends) ignore filters entirely —
-/// every waiter wakes, filtered or not — so registering a filter never
-/// changes behaviour until an opener opts into targeted delivery. The
-/// engine assigns no meaning to the payload values; upper layers decide
-/// what they encode (the cpu crate passes version numbers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WakeFilter {
-    /// Wake on any open (the only behaviour before targeted delivery).
-    #[default]
-    Any,
-    /// Wake when some payload word equals this value.
-    Exact(u64),
-    /// Wake when some payload word is `<=` this value.
-    AtMost(u64),
-}
-
-impl WakeFilter {
-    /// Whether an open carrying `payloads` releases a waiter with this
-    /// filter.
-    pub fn matches(&self, payloads: &[u64]) -> bool {
-        match *self {
-            WakeFilter::Any => true,
-            WakeFilter::Exact(v) => payloads.contains(&v),
-            WakeFilter::AtMost(v) => payloads.iter().any(|&p| p <= v),
-        }
-    }
-}
-
 /// Sentinel for "no slot" in the arena free list.
 const NO_SLOT: u32 = u32::MAX;
 
@@ -90,13 +59,9 @@ struct WaiterKey {
 enum SlotState {
     /// Recycled: next free slot index (or [`NO_SLOT`]).
     Free { next_free: u32 },
-    /// A parked task, what it is prepared to be woken by, and the cycle
-    /// it parked at (for the engine's gate-wait histogram).
-    Parked {
-        task: TaskId,
-        filter: WakeFilter,
-        since: Cycle,
-    },
+    /// A parked task and the cycle it parked at (for the engine's
+    /// gate-wait histogram).
+    Parked { task: TaskId, since: Cycle },
     /// Woken; the owning [`Wait`] collects the payload at next poll.
     Woken { wake: Wake },
 }
@@ -127,12 +92,8 @@ impl Default for WaiterArena {
 
 impl WaiterArena {
     /// Claims a slot for a parked task, recycling a free one when possible.
-    fn park(&mut self, task: TaskId, filter: WakeFilter, since: Cycle) -> WaiterKey {
-        let state = SlotState::Parked {
-            task,
-            filter,
-            since,
-        };
+    fn park(&mut self, task: TaskId, since: Cycle) -> WaiterKey {
+        let state = SlotState::Parked { task, since };
         let idx = if self.free_head != NO_SLOT {
             let idx = self.free_head;
             let slot = &mut self.slots[idx as usize];
@@ -165,7 +126,7 @@ impl WaiterArena {
         let slot = &mut self.slots[key.idx as usize];
         debug_assert_eq!(slot.gen, key.gen, "queue entry went stale");
         match slot.state {
-            SlotState::Parked { task, since, .. } => {
+            SlotState::Parked { task, since } => {
                 slot.state = SlotState::Woken { wake };
                 (task, since)
             }
@@ -225,7 +186,6 @@ impl Gate {
         Wait {
             gate: self.clone(),
             key: None,
-            filter: WakeFilter::Any,
         }
     }
 
@@ -238,41 +198,29 @@ impl Gate {
     /// check-then-park race that blocked versioned operations would
     /// otherwise have while they sleep off their attempt latency.
     pub fn ticket(&self) -> Wait {
-        self.ticket_filtered(WakeFilter::Any)
-    }
-
-    /// [`Gate::ticket`] with a [`WakeFilter`]: broadcast opens still wake
-    /// this waiter, but [`Gate::open_targeted`] skips it unless some
-    /// payload word matches the filter.
-    pub fn ticket_filtered(&self, filter: WakeFilter) -> Wait {
         let (task, now) = {
             let engine = self.engine.borrow();
             (engine.current_task(), engine.now())
         };
         let mut st = self.state.borrow_mut();
-        let key = st.arena.park(task, filter, now);
+        let key = st.arena.park(task, now);
         st.queue.push(key);
         Wait {
             gate: self.clone(),
             key: Some(key),
-            filter,
         }
     }
 
     /// Wakes every task currently parked on this gate at the current cycle.
     pub fn open(&self) {
-        self.open_tagged(WAKE_GENERIC);
+        self.open_tagged_from(WAKE_GENERIC, WakeOrigin::default());
     }
 
     /// [`Gate::open`] carrying a tag that every woken waiter receives from
     /// its `Wait` future — how wake-ups tell blocked tasks *what* happened
-    /// (a store vs. an unlock, say) without re-reading shared state.
-    pub fn open_tagged(&self, tag: WakeTag) {
-        self.open_tagged_from(tag, WakeOrigin::default());
-    }
-
-    /// [`Gate::open_tagged`] carrying a [`WakeOrigin`] identifying the
-    /// producing actor, so waiters can record *who* released them.
+    /// (a store vs. an unlock, say) without re-reading shared state — and
+    /// a [`WakeOrigin`] identifying the producing actor, so waiters can
+    /// record *who* released them.
     pub fn open_tagged_from(&self, tag: WakeTag, origin: WakeOrigin) {
         let now = self.engine.borrow().now();
         self.open_at_tagged_from(now, tag, origin);
@@ -281,15 +229,10 @@ impl Gate {
     /// Wakes every task currently parked on this gate at cycle `at`
     /// (clamped to the present).
     pub fn open_at(&self, at: Cycle) {
-        self.open_at_tagged(at, WAKE_GENERIC);
+        self.open_at_tagged_from(at, WAKE_GENERIC, WakeOrigin::default());
     }
 
-    /// [`Gate::open_at`] with a wake tag.
-    pub fn open_at_tagged(&self, at: Cycle, tag: WakeTag) {
-        self.open_at_tagged_from(at, tag, WakeOrigin::default());
-    }
-
-    /// [`Gate::open_at_tagged`] with a [`WakeOrigin`].
+    /// [`Gate::open_at`] with a wake tag and a [`WakeOrigin`].
     pub fn open_at_tagged_from(&self, at: Cycle, tag: WakeTag, origin: WakeOrigin) {
         let st = &mut *self.state.borrow_mut();
         if st.queue.is_empty() {
@@ -307,65 +250,6 @@ impl Gate {
         engine.record_wake_fanout(fanout);
     }
 
-    /// Wakes — at the current cycle — only the waiters whose [`WakeFilter`]
-    /// matches one of `payloads`; the rest stay parked. Matching waiters
-    /// wake in park order, exactly the relative order a broadcast open
-    /// would give them.
-    ///
-    /// This is the targeted-delivery ablation: an opener that knows *what*
-    /// it published (say, which version a store created) can skip waiters
-    /// that provably cannot be satisfied by it, saving their wake/re-check
-    /// round trips. A waiter registered without a filter
-    /// ([`WakeFilter::Any`]) always wakes.
-    pub fn open_targeted(&self, tag: WakeTag, payloads: &[u64]) {
-        self.open_targeted_from(tag, payloads, WakeOrigin::default());
-    }
-
-    /// [`Gate::open_targeted`] with a [`WakeOrigin`].
-    pub fn open_targeted_from(&self, tag: WakeTag, payloads: &[u64], origin: WakeOrigin) {
-        let now = self.engine.borrow().now();
-        self.open_targeted_at_from(now, tag, payloads, origin);
-    }
-
-    /// [`Gate::open_targeted`] at cycle `at` (clamped to the present).
-    pub fn open_targeted_at(&self, at: Cycle, tag: WakeTag, payloads: &[u64]) {
-        self.open_targeted_at_from(at, tag, payloads, WakeOrigin::default());
-    }
-
-    /// [`Gate::open_targeted_at`] with a [`WakeOrigin`].
-    pub fn open_targeted_at_from(
-        &self,
-        at: Cycle,
-        tag: WakeTag,
-        payloads: &[u64],
-        origin: WakeOrigin,
-    ) {
-        let st = &mut *self.state.borrow_mut();
-        if st.queue.is_empty() {
-            return;
-        }
-        let wake = Wake { tag, origin };
-        let mut engine = self.engine.borrow_mut();
-        let eff_at = at.max(engine.now());
-        let arena = &mut st.arena;
-        let mut fanout = 0u64;
-        st.queue.retain(|&key| {
-            let matches = match arena.state(key) {
-                Some(SlotState::Parked { filter, .. }) => filter.matches(payloads),
-                _ => unreachable!("queued waiter is not parked"),
-            };
-            if !matches {
-                return true;
-            }
-            let (task, since) = arena.wake(key, wake);
-            engine.record_gate_wait(eff_at.saturating_sub(since));
-            engine.schedule(at, task);
-            fanout += 1;
-            false
-        });
-        engine.record_wake_fanout(fanout);
-    }
-
     /// Number of tasks currently parked.
     pub fn waiting(&self) -> usize {
         self.state.borrow().queue.len()
@@ -377,7 +261,6 @@ impl Gate {
 pub struct Wait {
     gate: Gate,
     key: Option<WaiterKey>,
-    filter: WakeFilter,
 }
 
 impl Future for Wait {
@@ -406,7 +289,7 @@ impl Future for Wait {
                     (engine.current_task(), engine.now())
                 };
                 let mut st = this.gate.state.borrow_mut();
-                let key = st.arena.park(task, this.filter, now);
+                let key = st.arena.park(task, now);
                 st.queue.push(key);
                 this.key = Some(key);
                 Poll::Pending
@@ -563,7 +446,7 @@ mod tests {
             let h = h.clone();
             sim.spawn(async move {
                 h.sleep(3).await;
-                gate.open_tagged(7);
+                gate.open_tagged_from(7, WakeOrigin::default());
                 // A second waiter parked later gets a different tag.
                 h.sleep(3).await;
                 gate.open(); // no waiters: no-op
@@ -603,11 +486,11 @@ mod tests {
         let h = sim.handle();
         let gate = h.gate();
         let got = Rc::new(RefCell::new(Vec::new()));
-        for filter in [WakeFilter::Any, WakeFilter::Exact(9)] {
+        for _ in 0..2 {
             let gate = gate.clone();
             let got = Rc::clone(&got);
             sim.spawn(async move {
-                let wake = gate.ticket_filtered(filter).await;
+                let wake = gate.ticket().await;
                 got.borrow_mut().push(wake);
             });
         }
@@ -620,8 +503,7 @@ mod tests {
                     label: 0xabcd,
                     at: 3,
                 };
-                // Targeted open reaches both (Any + the matching Exact).
-                gate.open_targeted_from(5, &[9], origin);
+                gate.open_tagged_from(5, origin);
             });
         }
         assert!(sim.run().is_ok());
@@ -633,70 +515,6 @@ mod tests {
             },
         };
         assert_eq!(*got.borrow(), vec![expect, expect]);
-    }
-
-    #[test]
-    fn targeted_open_wakes_only_matching_waiters() {
-        let sim = Sim::new();
-        let h = sim.handle();
-        let gate = h.gate();
-        let woken = Rc::new(RefCell::new(Vec::new()));
-        // Three waiters: exact-7, at-most-3, unfiltered.
-        for (id, filter) in [
-            (0u32, WakeFilter::Exact(7)),
-            (1, WakeFilter::AtMost(3)),
-            (2, WakeFilter::Any),
-        ] {
-            let gate = gate.clone();
-            let woken = Rc::clone(&woken);
-            sim.spawn(async move {
-                gate.ticket_filtered(filter).await;
-                woken.borrow_mut().push(id);
-            });
-        }
-        {
-            let gate = gate.clone();
-            let h = h.clone();
-            sim.spawn(async move {
-                h.sleep(5).await;
-                // Payload 7: wakes exact-7 and the unfiltered waiter, in
-                // park order; at-most-3 stays parked.
-                gate.open_targeted(WAKE_GENERIC, &[7]);
-                assert_eq!(gate.waiting(), 1);
-                h.sleep(5).await;
-                gate.open_targeted(WAKE_GENERIC, &[2]);
-            });
-        }
-        assert!(sim.run().is_ok());
-        assert_eq!(*woken.borrow(), vec![0, 2, 1]);
-    }
-
-    #[test]
-    fn broadcast_open_ignores_filters() {
-        let sim = Sim::new();
-        let h = sim.handle();
-        let gate = h.gate();
-        let woken = Rc::new(Cell::new(0u32));
-        {
-            let gate = gate.clone();
-            let woken = Rc::clone(&woken);
-            sim.spawn(async move {
-                // A filter that no payload will ever match still wakes on
-                // a plain (broadcast) open.
-                gate.ticket_filtered(WakeFilter::Exact(u64::MAX)).await;
-                woken.set(woken.get() + 1);
-            });
-        }
-        {
-            let gate = gate.clone();
-            let h = h.clone();
-            sim.spawn(async move {
-                h.sleep(1).await;
-                gate.open();
-            });
-        }
-        assert!(sim.run().is_ok());
-        assert_eq!(woken.get(), 1);
     }
 
     #[test]

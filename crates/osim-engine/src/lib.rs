@@ -39,5 +39,5 @@ pub use executor::{
     BlockedTask, EngineHists, EngineStats, RunError, SchedulerKind, ShakePolicy, Sim, SimHandle,
     TaskId, WaitInfo,
 };
-pub use gate::{Gate, Wake, WakeFilter, WakeOrigin, WakeTag, WAKE_GENERIC};
+pub use gate::{Gate, Wake, WakeOrigin, WakeTag, WAKE_GENERIC};
 pub use time::Cycle;
