@@ -125,9 +125,9 @@ pub fn job_key(fig: &str, bench: &str, tag: &str, cfg: &MachineCfg, scale: &Scal
     // Fault injection, via its canonical round-tripping spec string.
     let spec = cfg.omgr.fault_plan.map(|p| p.to_spec());
     kb = kb.opt_str_field("omgr.inject", spec.as_deref());
-    // Deliberately excluded — host-only, proven by the fingerprint tests:
-    // cfg.scheduler (event-queue implementation), the --jobs worker
-    // count, --progress/--sweep-json sinks.
+    // Deliberately excluded — host-only, and absent from `MachineCfg` and
+    // `Scale`, so they cannot reach the key: the --jobs worker count and
+    // the --progress/--sweep-json sinks.
     kb.finish()
 }
 
@@ -445,7 +445,6 @@ impl ResultCache<DsResult> for BatchCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osim_cpu::SchedulerKind;
     use proptest::prelude::*;
 
     use crate::common::{machine, Scale};
@@ -570,25 +569,11 @@ mod tests {
         );
     }
 
-    /// Fingerprint soundness, host-only side: the scheduler kind — the
-    /// PR-7-class trap, since it lives right next to `shake` in
-    /// `MachineCfg` — provably does not move the key. (`--jobs` and
-    /// `--progress` never reach the key function at all: it has no
-    /// parameter they could arrive through.)
-    #[test]
-    fn host_only_knobs_do_not_flip_the_key() {
-        let mut scale = Scale::tiny();
-        let k0 = base_key(&scale);
-        scale.scheduler = SchedulerKind::BinaryHeap;
-        assert_eq!(k0, base_key(&scale), "--scheduler must not flip the key");
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Randomized fingerprint check: whatever semantic configuration a
-        /// job has, flipping the scheduler never moves its key, and
-        /// bumping any scale/seed knob always does.
+        /// job has, bumping any scale/seed knob always moves its key.
         #[test]
         fn fingerprint_soundness_randomized(
             ops in 1usize..4096,
@@ -605,11 +590,6 @@ mod tests {
             };
             let cfg = machine(&scale, cores, l1, extra);
             let k = job_key("fig6", "Linked list", "versioned", &cfg, &scale);
-            // Host-only: scheduler flip keeps the key.
-            let mut flipped = scale;
-            flipped.scheduler = SchedulerKind::BinaryHeap;
-            let cfg_f = machine(&flipped, cores, l1, extra);
-            prop_assert_eq!(k, job_key("fig6", "Linked list", "versioned", &cfg_f, &flipped));
             // Semantic: ops bump flips the key.
             let mut bumped = scale;
             bumped.ops += 1;

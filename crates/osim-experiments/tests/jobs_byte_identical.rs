@@ -10,9 +10,12 @@ use std::process::Command;
 
 /// Runs the experiments binary, returning (stdout bytes, `--json` bytes).
 fn sweep(args: &[&str], jobs: &str, json_name: &str) -> (Vec<u8>, Vec<u8>) {
+    // The tests of this file run in parallel in one process: the path
+    // names the arguments as well as the run.
     let json_path: PathBuf = std::env::temp_dir().join(format!(
-        "osim-jobs-eq-{}-{json_name}.json",
-        std::process::id()
+        "osim-jobs-eq-{}-{}-{json_name}.json",
+        std::process::id(),
+        args.join("_")
     ));
     let out = Command::new(env!("CARGO_BIN_EXE_osim-experiments"))
         .args(args)

@@ -5,8 +5,9 @@
 //! * [`Histogram`] — a fixed-size log-bucketed (HDR-style) latency
 //!   histogram with an allocation-free `record()`, lossless bucket-wise
 //!   merge, and monotone quantiles. The simulator layers record simulated
-//!   cycle durations into these, so the contents are deterministic and
-//!   scheduler-invariant, and safe to embed in byte-compared reports.
+//!   cycle durations into these, so the contents are deterministic, the
+//!   same for any host worker count, and safe to embed in byte-compared
+//!   reports.
 //! * [`Registry`] — labeled counters/gauges/histograms with lossless
 //!   merge and a Prometheus-style text exposition writer (the scrape
 //!   surface served live by `osim-serve`). Used host-side by the

@@ -1,7 +1,6 @@
 //! The live scrape endpoint for long-running invocations.
 //!
-//! ROADMAP item 2 reserves `osim-serve` for the sweep service front end;
-//! this is its first concrete slice: a std-only (no dependencies beyond
+//! `--metrics-addr` arms it: a std-only (no dependencies beyond
 //! `osim-metrics`) HTTP/1.1 server over [`std::net::TcpListener`] that
 //! renders the shared metric sources on demand. Three routes:
 //!

@@ -117,7 +117,7 @@ impl OStats {
 
 /// Latency distributions recorded by the manager alongside [`OStats`].
 /// Values are simulated cycles, so the contents are deterministic and
-/// scheduler-invariant.
+/// independent of host parallelism.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MvmHists {
     /// Cycles charged per version-list walk (the `ReadNoAlloc` pointer
