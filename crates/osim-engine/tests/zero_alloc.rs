@@ -13,14 +13,16 @@
 //! after a warm-up window (slab slots claimed, wheel buckets and queues at
 //! capacity) and disarmed before teardown; the count of allocations inside
 //! the window must be exactly zero. This file holds a single test so no
-//! concurrent test thread can pollute the counter.
+//! concurrent test thread can pollute the counter, and only the thread
+//! that armed it counts: the test harness's own thread allocates now and
+//! then while a test runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use osim_engine::{Sim, WakeOrigin};
@@ -28,26 +30,33 @@ use osim_metrics::{FlightCfg, FlightRecorder, Histogram, Registry};
 
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// `try_with`: the allocator also runs while thread locals are torn down.
+fn armed() -> bool {
+    ARMED.try_with(Cell::get).unwrap_or(false)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
@@ -73,7 +82,7 @@ fn steady_state_gate_and_dispatch_are_allocation_free() {
     // pre-allocated histogram behind a mutex).
     static TICKS: AtomicU64 = AtomicU64::new(0);
 
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.set(false);
     ALLOCS.store(0, Ordering::SeqCst);
     TICKS.store(0, Ordering::SeqCst);
 
@@ -122,10 +131,10 @@ fn steady_state_gate_and_dispatch_are_allocation_free() {
         sim.spawn(async move {
             for round in 0..ROUNDS {
                 if round == ARM_AT {
-                    ARMED.store(true, Ordering::SeqCst);
+                    ARMED.set(true);
                 }
                 if round == DISARM_AT {
-                    ARMED.store(false, Ordering::SeqCst);
+                    ARMED.set(false);
                 }
                 // Attach a wake origin (the dependency-capture path):
                 // origin propagation must be as allocation-free as the

@@ -188,6 +188,85 @@ fn sweep_telemetry_doc(jobs_flag: usize) -> Json {
     ])
 }
 
+/// Prints the usage text and exits 2, the exit code of every usage error.
+fn usage() -> ! {
+    eprintln!(
+        "usage: osim-experiments <config|fig6|fig7|fig8|fig9|fig10|gc|trace|analyze|all|stress> \
+         [--full|--tiny] [--scale <quick|tiny|full>] [--jobs <n>] \
+         [--stats] [--json <path>] [--chrome <path>] \
+         [--fig <6|7|9|10>] [--sample-every <cycles>] \
+         [--shake-seed <n>] [--seeds <n>] \
+         [--progress] [--sweep-json <path>] \
+         [--cache <dir|off>] \
+         [--metrics-addr <host:port|off>] [--host-chrome <path>] \
+         [--inject <spec>]\n\
+         \n\
+         osim-experiments compare <a.json> <b.json> [--json <path>]\n\
+         osim-experiments cache <stats|verify|clear> [--cache <dir>] [--json]\n\
+         \n\
+         --cache <dir>: content-addressed run cache. Completed sweep jobs\n\
+         are stored under <dir> keyed by everything that affects their\n\
+         simulated result; a warm rerun skips simulation and reproduces\n\
+         stdout and --json byte-identically. Host-only knobs (--jobs,\n\
+         --progress) do not affect the key. Corrupt entries are dropped\n\
+         and re-run. Default: off.\n\
+         \n\
+         cache: maintenance for such a directory (default .osim-cache):\n\
+         stats (entry counts, bytes), verify (decode every entry with\n\
+         per-entry blame; exit 1 if any is bad), clear. --json prints\n\
+         the machine-readable document instead.\n\
+         \n\
+         stress: schedule-shaking robustness harness. Runs every quick\n\
+         figure under --seeds (default 25) seeded tie-break perturbations\n\
+         (--shake-seed pins the first seed), with the manager's invariant\n\
+         oracles armed. Prints a minimal repro line per violation; exit 0 =\n\
+         all invariants held, 1 = violations. --fig <6|7|8|9|10|gc>\n\
+         restricts the figure set.\n\
+         \n\
+         --shake-seed <n>: for the other experiments, perturb same-cycle\n\
+         dispatch order from splitmix64 stream n (byte-identical per seed;\n\
+         numbers may differ from the committed references).\n\
+         \n\
+         compare: pairs the runs of two --json report files by\n\
+         (experiment, benchmark, variant), diffs every counter, stall\n\
+         cause, and latency histogram, and prints a ranked regression\n\
+         attribution per pair. Exit code 0 = identical, 1 = deltas.\n\
+         \n\
+         --metrics-addr <host:port>: live scrape endpoint (GET /metrics\n\
+         in Prometheus text, /metrics.json, /window) over the flight\n\
+         recorder sampling every instrumented layer (jobq, store,\n\
+         vacuum, cache). Port 0 binds ephemeral; the bound address is\n\
+         announced on stderr. Default: off (nothing starts).\n\
+         --host-chrome <path>: host wall-clock spans (worker jobs,\n\
+         vacuum passes, cache probes) as a Chrome trace document.\n\
+         \n\
+         --progress: live sweep status line on stderr (jobs queued/\n\
+         running/done, ETA, per-worker state); stdout is untouched.\n\
+         --sweep-json <path>: host-side sweep telemetry (per-job wall\n\
+         time, queue wait, worker utilization, stale-event rates).\n\
+         Wall-clock numbers are nondeterministic, which is why they\n\
+         get their own document instead of the SimReport stream.\n\
+         \n\
+         analyze: runs the chosen figure's workload with dependency-flow\n\
+         capture and interval telemetry armed, then prints the critical\n\
+         path, its stall-cause split, and the top contended structures.\n\
+         \n\
+         --inject <spec>: deterministic fault injection. <spec> is a preset\n\
+         (pool-pressure, pool-exhaustion, latency-jitter, coherence-delay,\n\
+         chaos) and/or comma-separated key=value overrides (seed, shrink-at,\n\
+         shrink-keep, carve-fail-pct, max-carve-failures, refill-budget,\n\
+         jitter, coherence-delay). Same spec + same seed => identical run."
+    );
+    std::process::exit(2);
+}
+
+/// Removes every `flag` from `args`; true if there was one.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let before = args.len();
+    args.retain(|a| a != flag);
+    args.len() != before
+}
+
 /// Removes `flag <value>` from `args`, returning the value.
 fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     let i = args.iter().position(|a| a == flag)?;
@@ -240,12 +319,7 @@ fn main() {
     let sweep_json = take_value(&mut args, "--sweep-json");
     let metrics_addr = take_value(&mut args, "--metrics-addr").filter(|v| v != "off");
     let host_chrome = take_value(&mut args, "--host-chrome");
-    let progress = if let Some(i) = args.iter().position(|a| a == "--progress") {
-        args.remove(i);
-        true
-    } else {
-        false
-    };
+    let progress = take_flag(&mut args, "--progress");
     let cache_flag = take_value(&mut args, "--cache").filter(|v| v != "off");
     let inject =
         take_value(&mut args, "--inject").map(|spec| match osim_uarch::FaultPlan::parse(&spec) {
@@ -296,14 +370,21 @@ fn main() {
         },
         None => 2048,
     };
-    let full = args.iter().any(|a| a == "--full");
-    let tiny = args.iter().any(|a| a == "--tiny");
-    let stats = args.iter().any(|a| a == "--stats");
-    let cmd = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("help");
+    let full = take_flag(&mut args, "--full");
+    let tiny = take_flag(&mut args, "--tiny");
+    let stats = take_flag(&mut args, "--stats");
+    // Every known flag is taken by now: what is left is the command and,
+    // for `compare` only, its two files.
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        eprintln!("unknown flag {flag}");
+        usage();
+    }
+    let cmd = args.first().map(String::as_str).unwrap_or("help");
+    let operands = args.get(1..).unwrap_or_default();
+    if cmd != "compare" && !operands.is_empty() {
+        eprintln!("unexpected argument {:?}", operands[0]);
+        usage();
+    }
     let scale_name = match scale_flag.as_deref() {
         Some(s @ ("quick" | "tiny" | "full")) => s,
         Some(other) => {
@@ -341,19 +422,14 @@ fn main() {
     let mut chrome_doc: Option<Json> = None;
 
     if cmd == "compare" {
-        let files: Vec<String> = args
-            .iter()
-            .filter(|a| !a.starts_with("--") && a.as_str() != "compare")
-            .cloned()
-            .collect();
-        if files.len() != 2 {
+        let [a, b] = operands else {
             eprintln!(
                 "compare requires exactly two report files, got {}",
-                files.len()
+                operands.len()
             );
             std::process::exit(2);
-        }
-        let code = compare_cmd::run(&files[0], &files[1], json_path.as_deref());
+        };
+        let code = compare_cmd::run(a, b, json_path.as_deref());
         obsv::host_chrome_flush();
         std::process::exit(code);
     }
@@ -413,76 +489,7 @@ fn main() {
             gc::run(&scale, jobs, &mut reports);
             chrome_doc = Some(trace_cmd::run(&scale, &mut reports));
         }
-        _ => {
-            eprintln!(
-                "usage: osim-experiments <config|fig6|fig7|fig8|fig9|fig10|gc|trace|analyze|all|stress> \
-                 [--full|--tiny] [--scale <quick|tiny|full>] [--jobs <n>] \
-                 [--stats] [--json <path>] [--chrome <path>] \
-                 [--fig <6|7|9|10>] [--sample-every <cycles>] \
-                 [--shake-seed <n>] [--seeds <n>] \
-                 [--progress] [--sweep-json <path>] \
-                 [--cache <dir|off>] \
-                 [--metrics-addr <host:port|off>] [--host-chrome <path>] \
-                 [--inject <spec>]\n\
-                 \n\
-                 osim-experiments compare <a.json> <b.json> [--json <path>]\n\
-                 osim-experiments cache <stats|verify|clear> [--cache <dir>] [--json]\n\
-                 \n\
-                 --cache <dir>: content-addressed run cache. Completed sweep jobs\n\
-                 are stored under <dir> keyed by everything that affects their\n\
-                 simulated result; a warm rerun skips simulation and reproduces\n\
-                 stdout and --json byte-identically. Host-only knobs (--jobs,\n\
-                 --progress) do not affect the key. Corrupt entries are dropped\n\
-                 and re-run. Default: off.\n\
-                 \n\
-                 cache: maintenance for such a directory (default .osim-cache):\n\
-                 stats (entry counts, bytes), verify (decode every entry with\n\
-                 per-entry blame; exit 1 if any is bad), clear. --json prints\n\
-                 the machine-readable document instead.\n\
-                 \n\
-                 stress: schedule-shaking robustness harness. Runs every quick\n\
-                 figure under --seeds (default 25) seeded tie-break perturbations\n\
-                 (--shake-seed pins the first seed), with the manager's invariant\n\
-                 oracles armed. Prints a minimal repro line per violation; exit 0 =\n\
-                 all invariants held, 1 = violations. --fig <6|7|8|9|10|gc>\n\
-                 restricts the figure set.\n\
-                 \n\
-                 --shake-seed <n>: for the other experiments, perturb same-cycle\n\
-                 dispatch order from splitmix64 stream n (byte-identical per seed;\n\
-                 numbers may differ from the committed references).\n\
-                 \n\
-                 compare: pairs the runs of two --json report files by\n\
-                 (experiment, benchmark, variant), diffs every counter, stall\n\
-                 cause, and latency histogram, and prints a ranked regression\n\
-                 attribution per pair. Exit code 0 = identical, 1 = deltas.\n\
-                 \n\
-                 --metrics-addr <host:port>: live scrape endpoint (GET /metrics\n\
-                 in Prometheus text, /metrics.json, /window) over the flight\n\
-                 recorder sampling every instrumented layer (jobq, store,\n\
-                 vacuum, cache). Port 0 binds ephemeral; the bound address is\n\
-                 announced on stderr. Default: off (nothing starts).\n\
-                 --host-chrome <path>: host wall-clock spans (worker jobs,\n\
-                 vacuum passes, cache probes) as a Chrome trace document.\n\
-                 \n\
-                 --progress: live sweep status line on stderr (jobs queued/\n\
-                 running/done, ETA, per-worker state); stdout is untouched.\n\
-                 --sweep-json <path>: host-side sweep telemetry (per-job wall\n\
-                 time, queue wait, worker utilization, stale-event rates).\n\
-                 Wall-clock numbers are nondeterministic, which is why they\n\
-                 get their own document instead of the SimReport stream.\n\
-                 \n\
-                 analyze: runs the chosen figure's workload with dependency-flow\n\
-                 capture and interval telemetry armed, then prints the critical\n\
-                 path, its stall-cause split, and the top contended structures.\n\
-                 \n\
-                 --inject <spec>: deterministic fault injection. <spec> is a preset\n\
-                 (pool-pressure, pool-exhaustion, latency-jitter, coherence-delay,\n\
-                 chaos) and/or comma-separated key=value overrides (seed, shrink-at,\n\
-                 shrink-keep, carve-fail-pct, max-carve-failures, refill-budget,\n\
-                 jitter, coherence-delay). Same spec + same seed => identical run."
-            );
-            std::process::exit(2);
-        }
+        _ => usage(),
     }
 
     obsv::host_chrome_flush();

@@ -1,5 +1,6 @@
 //! End-to-end checks of the experiment driver's machine-readable outputs:
-//! the `--json` SimReport array and the `--chrome` trace-event document.
+//! the `--json` SimReport array and the `--chrome` trace-event document,
+//! and the usage error that unknown flags and stray arguments get.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -106,4 +107,26 @@ fn trace_chrome_export_is_loadable() {
         })
         .count() as u64;
     assert_eq!(op_spans, counts.records);
+}
+
+#[test]
+fn unknown_flags_and_extra_arguments_are_usage_errors() {
+    for args in [
+        &["fig8", "--tiny", "--job", "4"][..],
+        &["fig8", "--tiny", "--scheduler", "heap"],
+        &["fig8", "--tiny", "extra"],
+        &["compare", "a.json", "b.json", "c.json"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_osim-experiments"))
+            .args(args)
+            .output()
+            .expect("spawn osim-experiments");
+        assert_eq!(out.status.code(), Some(2), "osim-experiments {args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("usage") || stderr.contains("requires"),
+            "{args:?} printed no usage: {stderr}"
+        );
+    }
 }

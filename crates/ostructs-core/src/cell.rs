@@ -14,22 +14,26 @@
 //!   or unlock wakes the condvar only when that count, read under the
 //!   mutex, is nonzero — an unwatched put makes no wake call.
 //! * **A read-mostly snapshot** of the version list is published behind a
-//!   `RwLock<Arc<Snapshot>>` and atomically swapped on every mutation.
+//!   reader-counted guard (`SnapLock`) and swapped on every mutation.
 //!   Loads of already-committed versions resolve entirely against the
-//!   snapshot: a brief shared read guard, a binary search, and an `Arc`
-//!   bump — no exclusive lock, and concurrent readers never serialize
-//!   against each other.
+//!   snapshot: a brief shared read guard and a walk of the newest runs —
+//!   no exclusive lock, and concurrent readers never serialize against
+//!   each other.
 //!
 //! The snapshot stores the version list **path-compressed into runs**
 //! (à la the `PersistentCell` of persistency): a run `[lo, hi]` covers
 //! every one of the contiguous versions `lo..=hi`, all sharing one
 //! `Arc<T>` value. Rename chains (`unlock_version(_, Some(v+1))` in a
 //! hand-over-hand pipeline) therefore collapse to a single run — a
-//! million-rename history is one entry and one heap allocation. The
-//! snapshot keeps at most [`WINDOW_RUNS`] of the *newest* runs; anything
-//! below that window falls back to the mutex slow path (the window is a
-//! cache, never a semantic boundary). Values live in `Arc<T>` throughout,
-//! so the `_arc` load variants return without cloning `T` at all.
+//! million-rename history is one entry and one heap allocation. The runs
+//! form an immutable chain, newest first, like the paper's version list
+//! (§III, Fig. 3): a store at a new maximum links one node in front of
+//! the chain it shares, and a rename replaces only the newest node, so a
+//! publish costs O(1) however long the history is. A read walks at most
+//! [`WINDOW_RUNS`] nodes; anything older falls back to the mutex slow
+//! path (the window is a cache, never a semantic boundary). Values live
+//! in `Arc<T>` throughout, so the `_arc` load variants return without
+//! cloning `T` at all.
 
 use std::cell::UnsafeCell;
 use std::collections::btree_map::Entry;
@@ -42,44 +46,53 @@ use crate::error::OError;
 use crate::sync::{Condvar, Mutex, MutexGuard};
 use crate::{TaskId, Version};
 
-/// Maximum number of runs retained in the published read snapshot. A cell
-/// whose history compresses to at most this many runs is fully answerable
-/// on the fast path; older history past the window takes the slow path.
+/// Number of the newest runs a fast-path read walks. A cell whose history
+/// compresses to at most this many runs is fully answerable on the fast
+/// path; older history past the window takes the slow path.
 const WINDOW_RUNS: usize = 32;
+
+/// Longest the run chain may grow before it is rebuilt with
+/// [`WINDOW_RUNS`] runs. The slack makes the rebuild rare: between two of
+/// them the newest runs all change, so the rebuild walks each version at
+/// most once. The bound caps both the extra memory of a cell that is
+/// never pruned and how deep dropping a chain recurses.
+const CHAIN_RUNS: usize = 8 * WINDOW_RUNS;
 
 struct Slot<T> {
     value: Arc<T>,
     locked_by: Option<TaskId>,
 }
 
-/// A maximal range of contiguous versions `lo..=hi` that all exist and
-/// share one value allocation (renames reuse the predecessor's `Arc`).
-struct Run<T> {
+/// One run of the published chain: the contiguous versions `lo..=hi`, all
+/// existing and sharing one value allocation (renames reuse the
+/// predecessor's `Arc`), linked to the next-older run. Immutable once
+/// linked, so every snapshot that reaches a node shares it.
+struct RunNode<T> {
     lo: Version,
     hi: Version,
     value: Arc<T>,
+    older: Link<T>,
 }
 
-impl<T> Clone for Run<T> {
-    fn clone(&self) -> Self {
-        Run {
-            lo: self.lo,
-            hi: self.hi,
-            value: Arc::clone(&self.value),
-        }
-    }
+type Link<T> = Option<Arc<RunNode<T>>>;
+
+/// The runs of the chain starting at `top`, newest first.
+fn runs<T>(top: &Link<T>) -> impl Iterator<Item = &RunNode<T>> {
+    std::iter::successors(top.as_deref(), |run| run.older.as_deref())
 }
 
-/// The published read-mostly view: the newest runs plus the (small) set of
+/// The published read-mostly view: the run chain plus the (small) set of
 /// currently locked versions. Immutable once published; mutations build a
 /// fresh snapshot and swap the `Arc`.
 struct Snapshot<T> {
-    /// When true, `runs` covers *every* existing version; an absent lookup
-    /// is authoritative. When false, only versions `>= floor()` are
-    /// covered and anything below must consult the slow path.
+    /// When true, the chain covers *every* existing version; an absent
+    /// lookup is authoritative. When false, only versions at or above the
+    /// oldest run's `lo` are covered and anything below must consult the
+    /// slow path.
     complete: bool,
-    /// Sorted by `lo`, disjoint, covering all versions `>= floor()`.
-    runs: Vec<Run<T>>,
+    /// The newest run; runs are disjoint and each one's `older` run lies
+    /// wholly below it.
+    top: Link<T>,
     /// Sorted; every currently locked version of the whole cell.
     locked: Vec<Version>,
 }
@@ -125,17 +138,8 @@ impl<T> Snapshot<T> {
     fn empty() -> Self {
         Snapshot {
             complete: true,
-            runs: Vec::new(),
+            top: None,
             locked: Vec::new(),
-        }
-    }
-
-    /// Lowest version the window covers (0 when complete or empty).
-    fn floor(&self) -> Version {
-        if self.complete {
-            0
-        } else {
-            self.runs.first().map_or(0, |r| r.lo)
         }
     }
 
@@ -143,14 +147,15 @@ impl<T> Snapshot<T> {
         self.locked.binary_search(&v).is_ok()
     }
 
-    /// Resolves `target` if the window can answer.
+    /// Resolves `target` if the newest [`WINDOW_RUNS`] runs can answer.
     fn read(&self, target: Target) -> FastRead<'_, T> {
         let (Exact(key) | Latest(key)) = target;
-        let i = self.runs.partition_point(|r| r.lo <= key);
-        let Some(run) = i.checked_sub(1).map(|i| &self.runs[i]) else {
-            // No covered version <= key (so an exact key is below the
-            // floor): authoritative only if the window covers everything.
-            return if self.complete {
+        let mut chain = runs(&self.top);
+        let Some(run) = chain.by_ref().take(WINDOW_RUNS).find(|r| r.lo <= key) else {
+            // No run <= key among those walked (so an exact key is below
+            // them): authoritative only if the chain ended and covers
+            // everything.
+            return if self.complete && chain.next().is_none() {
                 FastRead::Absent
             } else {
                 FastRead::Unknown
@@ -174,11 +179,14 @@ struct State<T> {
     /// Which version each task currently holds locked (at most one lock
     /// per task per cell, as in the Fig. 1 API).
     held: HashMap<TaskId, Version>,
-    /// Mirror of the published runs, maintained incrementally so the
-    /// common append (store at a new maximum version) publishes in O(1)
-    /// amortized instead of rewalking the map.
-    window: Vec<Run<T>>,
-    window_complete: bool,
+    /// The run chain the next snapshot publishes, maintained incrementally
+    /// so the common append (store at a new maximum version) links one
+    /// node instead of rewalking the map.
+    top: Link<T>,
+    /// Number of runs in the chain, at most [`CHAIN_RUNS`].
+    depth: usize,
+    /// Whether the chain covers every version (see [`Snapshot`]).
+    complete: bool,
     /// Threads parked on `Inner::changed`. A mutation that could unblock
     /// a load reads this under the mutex and skips the wake when it is 0.
     waiters: usize,
@@ -194,66 +202,73 @@ impl<T> State<T> {
         found.map(|(&v, slot)| (v, slot))
     }
 
-    /// Rebuilds the window by walking the newest versions of the map,
-    /// coalescing contiguous same-value versions into runs. Used after
-    /// out-of-order stores and pruning; the append path updates in place.
-    fn rebuild_window(&mut self) {
-        self.window.clear();
-        self.window_complete = true;
+    /// Rebuilds the chain by walking the newest versions of the map,
+    /// coalescing contiguous same-value versions into at most
+    /// [`WINDOW_RUNS`] runs. Used after out-of-order stores and pruning,
+    /// and to trim a chain past [`CHAIN_RUNS`]; the append path links in
+    /// place.
+    fn rebuild_chain(&mut self) {
+        let mut newest: Vec<RunNode<T>> = Vec::new();
+        self.complete = true;
         for (&v, slot) in self.versions.iter().rev() {
-            if let Some(lowest) = self.window.last_mut() {
+            if let Some(lowest) = newest.last_mut() {
                 if lowest.lo == v + 1 && Arc::ptr_eq(&lowest.value, &slot.value) {
                     lowest.lo = v;
                     continue;
                 }
-                if self.window.len() == WINDOW_RUNS {
-                    self.window_complete = false;
+                if newest.len() == WINDOW_RUNS {
+                    self.complete = false;
                     break;
                 }
             }
-            self.window.push(Run {
+            newest.push(RunNode {
                 lo: v,
                 hi: v,
                 value: Arc::clone(&slot.value),
+                older: None,
             });
         }
-        // Built newest-first; publish ascending.
-        self.window.reverse();
+        self.depth = newest.len();
+        // Link oldest first, each run in front of the chain so far.
+        self.top = newest
+            .into_iter()
+            .rev()
+            .fold(None, |older, run| Some(Arc::new(RunNode { older, ..run })));
     }
 
-    /// Records a freshly inserted version in the window.
-    fn window_note_store(&mut self, v: Version, value: &Arc<T>) {
-        match self.window.last_mut() {
-            Some(last) if v > last.hi => {
-                if v == last.hi + 1 && Arc::ptr_eq(&last.value, value) {
-                    last.hi = v; // rename chain: extend the run in place
-                } else {
-                    self.window.push(Run {
-                        lo: v,
-                        hi: v,
-                        value: Arc::clone(value),
-                    });
-                    if self.window.len() > WINDOW_RUNS {
-                        self.window.remove(0);
-                        self.window_complete = false;
-                    }
+    /// Records a freshly inserted version in the chain.
+    fn chain_note_store(&mut self, v: Version, value: &Arc<T>) {
+        match self.top.as_deref() {
+            Some(top) if v <= top.hi => {
+                // Out-of-order store. Below the chain's floor it is
+                // already slow-path territory and the chain stays valid;
+                // inside the chain's span, rebuild.
+                let floor = runs(&self.top).last().map_or(0, |r| r.lo);
+                if self.complete || v >= floor {
+                    self.rebuild_chain();
                 }
             }
-            Some(_) => {
-                // Out-of-order store. Below the window floor it is already
-                // slow-path territory and the window stays valid; inside
-                // the window's span, rebuild.
-                let floor = self.window.first().map_or(0, |r| r.lo);
-                if self.window_complete || v >= floor {
-                    self.rebuild_window();
-                }
+            Some(top) if v == top.hi + 1 && Arc::ptr_eq(&top.value, value) => {
+                // Rename chain: a copy of the newest run reaching `v`,
+                // sharing everything older.
+                self.top = Some(Arc::new(RunNode {
+                    lo: top.lo,
+                    hi: v,
+                    value: Arc::clone(value),
+                    older: top.older.clone(),
+                }));
             }
-            None => {
-                self.window.push(Run {
+            _ => {
+                self.top = Some(Arc::new(RunNode {
                     lo: v,
                     hi: v,
                     value: Arc::clone(value),
-                });
+                    older: self.top.take(),
+                }));
+                self.depth += 1;
+                if self.depth > CHAIN_RUNS {
+                    self.rebuild_chain();
+                }
             }
         }
     }
@@ -262,8 +277,8 @@ impl<T> State<T> {
         let mut locked: Vec<Version> = self.held.values().copied().collect();
         locked.sort_unstable();
         Snapshot {
-            complete: self.window_complete,
-            runs: self.window.clone(),
+            complete: self.complete,
+            top: self.top.clone(),
             locked,
         }
     }
@@ -355,10 +370,10 @@ impl<T> SnapLock<T> {
             }
         }
         // Safety: writer bit held and all readers drained — exclusive.
-        unsafe {
-            *self.slot.get() = snap;
-        }
+        let old = unsafe { std::mem::replace(&mut *self.slot.get(), snap) };
         self.state.fetch_and(!WRITER_BIT, Ordering::Release);
+        // Readers are back in before the old snapshot is freed.
+        drop(old);
     }
 }
 
@@ -496,7 +511,14 @@ pub trait Prune {
 
 impl<T> Prune for Inner<T> {
     fn prune_below(&self, boundary: Version) -> usize {
-        let mut st = self.state.lock();
+        self.prune(&mut self.state.lock(), boundary)
+    }
+}
+
+impl<T> Inner<T> {
+    /// The prune core: drops every unlocked version older than the newest
+    /// one ≤ `boundary` and republishes if any went. Returns how many went.
+    fn prune(&self, st: &mut State<T>, boundary: Version) -> usize {
         let Some((&keep, _)) = st.versions.range(..=boundary).next_back() else {
             return 0;
         };
@@ -505,8 +527,8 @@ impl<T> Prune for Inner<T> {
             .retain(|&v, slot| v >= keep || slot.locked_by.is_some());
         let reclaimed = before - st.versions.len();
         if reclaimed > 0 {
-            st.rebuild_window();
-            self.publish(&st);
+            st.rebuild_chain();
+            self.publish(st);
         }
         reclaimed
     }
@@ -560,8 +582,9 @@ impl<T> OCell<T> {
                 state: Mutex::new(State {
                     versions: BTreeMap::new(),
                     held: HashMap::new(),
-                    window: Vec::new(),
-                    window_complete: true,
+                    top: None,
+                    depth: 0,
+                    complete: true,
                     waiters: 0,
                 }),
                 published: SnapLock::new(Arc::new(Snapshot::empty())),
@@ -597,7 +620,7 @@ impl<T> OCell<T> {
                 });
             }
         }
-        st.window_note_store(version, &value);
+        st.chain_note_store(version, &value);
         self.inner.publish(&st);
         self.inner.wake_waiters(st);
         Ok(())
@@ -627,6 +650,17 @@ impl<T> OCell<T> {
         self.inner.load(Latest(cap), Never, Arc::clone)
     }
 
+    /// Non-blocking `LOAD-LATEST` that hands the value to `project` in
+    /// place: on the fast path `project` runs under the snapshot guard, so
+    /// a caller that needs only part of `T` never bumps the value's `Arc`.
+    pub(crate) fn try_load_latest_with<R>(
+        &self,
+        cap: Version,
+        project: impl Fn(&Arc<T>) -> R,
+    ) -> Option<(Version, R)> {
+        self.inner.load(Latest(cap), Never, project)
+    }
+
     /// The version `tid` currently holds locked, if any.
     pub fn held_by(&self, tid: TaskId) -> Option<Version> {
         self.inner.state.lock().held.get(&tid).copied()
@@ -636,10 +670,11 @@ impl<T> OCell<T> {
     /// every held-lock record must point at a version locked by exactly
     /// that task, and every locked version must have a matching held
     /// record — and then validates the published read snapshot against the
-    /// version map: every run must cover exactly the contiguous versions
-    /// it claims (sharing their value allocation), the window must cover
-    /// every version above its floor, and the locked list must mirror the
-    /// lock table. Returns the first inconsistency. The software twin of
+    /// version map: the published chain must be the state's own, its runs
+    /// ordered newest first and disjoint, each covering exactly the
+    /// contiguous versions it claims (sharing their value allocation), the
+    /// chain must cover every version above its floor and stay within its
+    /// depth bound, and the locked list must mirror the lock table. Returns the first inconsistency. The software twin of
     /// the simulator's lock-exclusion oracle; the stress harness's test
     /// suites call it after perturbed interleavings.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -675,21 +710,30 @@ impl<T> OCell<T> {
         // Snapshot-vs-truth cross-check. The publication happens under the
         // state mutex, so under this lock the published view must agree.
         let snap = self.inner.published.read();
-        if snap.complete != st.window_complete || snap.runs.len() != st.window.len() {
-            return Err("published snapshot lags the state window".to_string());
+        let same_top = match (&snap.top, &st.top) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        if !same_top || snap.complete != st.complete {
+            return Err("published snapshot lags the state chain".to_string());
         }
         let mut covered = 0usize;
-        let mut prev_hi: Option<Version> = None;
-        for run in &snap.runs {
+        let mut depth = 0usize;
+        let mut floor: Option<Version> = None;
+        for run in runs(&snap.top) {
+            depth += 1;
             if run.lo > run.hi {
                 return Err(format!("run [{}, {}] is inverted", run.lo, run.hi));
             }
-            if let Some(p) = prev_hi {
-                if run.lo <= p {
-                    return Err(format!("run [{}, {}] overlaps predecessor", run.lo, run.hi));
+            if let Some(newer_lo) = floor {
+                if run.hi >= newer_lo {
+                    return Err(format!(
+                        "run [{}, {}] overlaps the newer run",
+                        run.lo, run.hi
+                    ));
                 }
             }
-            prev_hi = Some(run.hi);
+            floor = Some(run.lo);
             // One ordered range pass per run instead of a per-version map
             // lookup: a million-rename run costs one linear walk, not 10^6
             // O(log n) probes, so the oracle stays usable on the long
@@ -714,11 +758,17 @@ impl<T> OCell<T> {
             }
             covered += span;
         }
-        let floor = snap.floor();
+        if depth != st.depth || depth > CHAIN_RUNS {
+            return Err(format!(
+                "chain holds {depth} runs, recorded as {} (bound {CHAIN_RUNS})",
+                st.depth
+            ));
+        }
+        let floor = if snap.complete { 0 } else { floor.unwrap_or(0) };
         let above_floor = st.versions.range(floor..).count();
         if covered != above_floor || (snap.complete && covered != st.versions.len()) {
             return Err(format!(
-                "window covers {covered} versions but {above_floor} exist at or \
+                "chain covers {covered} versions but {above_floor} exist at or \
                  above its floor {floor} (complete={})",
                 snap.complete
             ));
@@ -754,6 +804,23 @@ impl<T> OCell<T> {
     /// `boundary` afterwards.
     pub fn prune_below(&self, boundary: Version) -> usize {
         Prune::prune_below(&*self.inner, boundary)
+    }
+
+    /// [`OCell::prune_below`], plus whether the cell is *spent* afterwards:
+    /// it is empty, or its newest version is at or below `boundary` and
+    /// `spent` holds for that version's value, so no snapshot at or after
+    /// the boundary sees anything else. Decided in one lookup under the
+    /// same mutex hold; allocates nothing.
+    pub(crate) fn prune_below_spent(
+        &self,
+        boundary: Version,
+        spent: impl FnOnce(&T) -> bool,
+    ) -> (usize, bool) {
+        let mut st = self.inner.state.lock();
+        let reclaimed = self.inner.prune(&mut st, boundary);
+        let newest = st.versions.last_key_value();
+        let is_spent = newest.is_none_or(|(&v, slot)| v <= boundary && spent(&slot.value));
+        (reclaimed, is_spent)
     }
 
     /// A type-erased weak handle for the runtime's collector or the
@@ -870,7 +937,7 @@ impl<T: Clone> OCell<T> {
                     locked_by: None,
                 },
             );
-            st.window_note_store(vn, &value);
+            st.chain_note_store(vn, &value);
         }
         self.inner.publish(&st);
         self.inner.wake_waiters(st);
@@ -1125,6 +1192,43 @@ mod tests {
         }
         assert_eq!(c.load_latest(u64::MAX), (n * 2, n as u32));
         assert_eq!(c.try_load_latest(1), None);
+    }
+
+    #[test]
+    fn chain_is_trimmed_past_its_bound() {
+        // One run per version: the store that passes CHAIN_RUNS cuts the
+        // chain back to the window, and everything stays loadable.
+        let c = OCell::new();
+        let n = CHAIN_RUNS as u64 + 1;
+        for v in 1..=n {
+            c.store_version(v, v).unwrap();
+        }
+        {
+            let st = c.inner.state.lock();
+            assert_eq!((st.depth, st.complete), (WINDOW_RUNS, false));
+        }
+        c.check_invariants().unwrap();
+        for v in 1..=n {
+            assert_eq!(c.try_load_version(v), Some(v));
+        }
+        assert_eq!(c.try_load_latest(0), None);
+    }
+
+    #[test]
+    fn dropping_a_million_unpruned_versions_stays_shallow() {
+        // An untrimmed chain would be a million runs deep here, and
+        // dropping it would recurse once per run; the trim keeps the
+        // recursion within CHAIN_RUNS, well inside a small stack.
+        let worker = thread::Builder::new().stack_size(256 << 10);
+        let dropped = worker.spawn(|| {
+            let c = OCell::new();
+            for v in 1..=1_000_000u64 {
+                c.store_version(v, v).unwrap();
+            }
+            assert_eq!(c.version_count(), 1_000_000);
+            drop(c);
+        });
+        dropped.unwrap().join().unwrap();
     }
 
     #[test]

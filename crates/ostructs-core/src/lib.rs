@@ -35,7 +35,7 @@
 //! adoption surface for programs that want O-structure semantics today, at
 //! software speed (the paper's observation that software versioning is
 //! substantially slower than hardware support still stands — see the
-//! `software_overhead` bench).
+//! `software_cell` bench).
 
 pub mod cell;
 pub mod error;

@@ -14,11 +14,15 @@
 //! `RwLock<BTreeMap>`. Writers to different keys land on different shards
 //! with high probability and never serialize on a global lock; per-key
 //! version history still lives in the cell, so the index locks stay
-//! uncontended and *brief*. The lock discipline is strict: a shard lock
-//! is only ever held to look up or create a cell *handle* — it is always
-//! released before any `OCell` operation runs, because cell operations
-//! can block indefinitely (waiting on an unwritten version) and a lock
-//! held across one would wedge every unrelated key in the shard.
+//! uncontended and *brief*. The lock discipline is strict: no shard lock
+//! is ever held across a cell operation that can block, because such an
+//! operation can wait indefinitely (on an unwritten version) and a lock
+//! held across one would wedge every unrelated key in the shard. Writers
+//! and blocking readers take a cell *handle* out and release the shard
+//! lock first. The non-blocking reads ([`OMap::get_arc`], the snapshots
+//! and scans) resolve under the shard read guard instead, so they mint
+//! no handle at all; the vacuum already takes a shard lock before a cell
+//! mutex, and nothing takes them the other way round.
 //!
 //! # Values
 //!
@@ -150,6 +154,15 @@ fn write_counted<K, V>(idx: usize, shard: &Shard<K, V>) -> RwLockWriteGuard<'_, 
     }
 }
 
+/// The value `cell` holds in the snapshot at `cap` (`None` when absent).
+/// Non-blocking, so a shard guard may be held across it; the value's
+/// `Option` is cloned under the snapshot guard and its outer `Arc` is never
+/// touched.
+fn value_at<V>(cell: &OCell<Option<Arc<V>>>, cap: Version) -> Option<Arc<V>> {
+    cell.try_load_latest_with(cap, |v| Option::clone(v))
+        .and_then(|(_, v)| v)
+}
+
 impl<K, V> Prune for MapInner<K, V>
 where
     K: Ord,
@@ -162,7 +175,10 @@ where
         for shard in self.shards.iter() {
             let mut w = shard.write();
             w.retain(|_, cell| {
-                reclaimed += cell.prune_below(boundary);
+                // Spent: every snapshot at or after the boundary sees the
+                // key absent.
+                let (n, spent) = cell.prune_below_spent(boundary, Option::is_none);
+                reclaimed += n;
                 // Keep any cell someone outside the index still holds a
                 // handle to: `cell_for` hands out handles after releasing
                 // the shard lock, so a writer (or `wait_version` waiter)
@@ -171,14 +187,7 @@ where
                 // its waiters. The shard write lock held here keeps new
                 // handles from being minted, so strong count == 1 proves
                 // the index entry is the only reference.
-                cell.handle_count() > 1
-                    // Otherwise keep the cell only if some snapshot at or
-                    // after the boundary can still observe a value in it.
-                    || cell
-                        .versions()
-                        .iter()
-                        .any(|&v| cell.try_load_version(v).flatten().is_some() || v > boundary)
-                    || cell.try_load_latest(Version::MAX).map(|(_, v)| v.is_some()) == Some(true)
+                !spent || cell.handle_count() > 1
             });
         }
         reclaimed
@@ -254,12 +263,6 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
         w.entry(key.clone()).or_default().clone()
     }
 
-    /// The cell for `key` if one exists (no creation).
-    fn cell_get(&self, key: &K) -> Option<OCell<Option<Arc<V>>>> {
-        let (idx, shard) = self.inner.shard(key);
-        read_counted(idx, shard).get(key).cloned()
-    }
-
     /// Publishes `key -> value` at `version`.
     pub fn insert(&self, key: K, version: Version, value: V) -> Result<(), OError> {
         self.insert_arc(key, version, Arc::new(value))
@@ -280,9 +283,8 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
     /// cloning `V` (non-blocking: a key with no version ≤ `cap` is simply
     /// absent from that snapshot).
     pub fn get_arc(&self, key: &K, cap: Version) -> Option<Arc<V>> {
-        let cell = self.cell_get(key)?;
-        cell.try_load_latest_arc(cap)
-            .and_then(|(_, v)| (*v).clone())
+        let (idx, shard) = self.inner.shard(key);
+        value_at(read_counted(idx, shard).get(key)?, cap)
     }
 
     /// Borrowed visitation: applies `f` to the value of `key` at `cap`
@@ -305,23 +307,12 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
     pub fn snapshot_arc(&self, cap: Version) -> Vec<(K, Arc<V>)> {
         let mut out = Vec::new();
         for shard in self.inner.shards.iter() {
-            // Handles out first; the shard lock is not held across the
-            // (non-blocking) cell reads below only for discipline
-            // uniformity — try_* cannot block, but cheap index critical
-            // sections are the point of sharding.
-            let cells: Vec<(K, OCell<Option<Arc<V>>>)> = shard
-                .read()
-                .iter()
-                .map(|(k, c)| (k.clone(), c.clone()))
-                .collect();
-            for (k, cell) in cells {
-                if let Some(v) = cell
-                    .try_load_latest_arc(cap)
-                    .and_then(|(_, v)| (*v).clone())
-                {
-                    out.push((k, v));
-                }
-            }
+            let cells = shard.read();
+            out.extend(
+                cells
+                    .iter()
+                    .filter_map(|(k, cell)| Some((k.clone(), value_at(cell, cap)?))),
+            );
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -332,19 +323,9 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
     pub fn scan_arc(&self, from: K, limit: usize, cap: Version) -> Vec<(K, Arc<V>)> {
         let mut out = Vec::new();
         for shard in self.inner.shards.iter() {
-            let cells: Vec<(K, OCell<Option<Arc<V>>>)> = shard
-                .read()
-                .range(from.clone()..)
-                .map(|(k, c)| (k.clone(), c.clone()))
-                .collect();
-            for (k, cell) in cells {
-                if let Some(v) = cell
-                    .try_load_latest_arc(cap)
-                    .and_then(|(_, v)| (*v).clone())
-                {
-                    out.push((k, v));
-                }
-            }
+            let cells = shard.read();
+            let found = cells.range(from.clone()..);
+            out.extend(found.filter_map(|(k, cell)| Some((k.clone(), value_at(cell, cap)?))));
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out.truncate(limit);

@@ -76,24 +76,134 @@ impl Model {
 
 #[derive(Debug, Clone)]
 enum Step {
-    Store { v: u64, val: u32 },
-    TryLoad { v: u64 },
-    TryLatest { cap: u64 },
-    LockLatest { cap: u64, tid: u64 },
-    Unlock { tid: u64, create: Option<u64> },
-    Prune { boundary: u64 },
+    Store {
+        v: u64,
+        val: u32,
+    },
+    TryLoad {
+        v: u64,
+    },
+    TryLatest {
+        cap: u64,
+    },
+    LockLatest {
+        cap: u64,
+        tid: u64,
+    },
+    Unlock {
+        tid: u64,
+        create: Option<u64>,
+    },
+    Prune {
+        boundary: u64,
+    },
+    /// A fresh value `gap` versions above the newest one.
+    Append {
+        gap: u64,
+        val: u32,
+    },
+    /// Lock the newest version as `tid` and rename it one version up.
+    Rename {
+        tid: u64,
+    },
 }
 
-fn step_strategy() -> impl Strategy<Value = Step> {
+/// Every kind of step, on versions below `top`.
+fn step_strategy(top: u64) -> impl Strategy<Value = Step> {
     prop_oneof![
-        (1u64..40, any::<u32>()).prop_map(|(v, val)| Step::Store { v, val }),
-        (1u64..40).prop_map(|v| Step::TryLoad { v }),
-        (1u64..40).prop_map(|cap| Step::TryLatest { cap }),
-        (1u64..40, 1u64..8).prop_map(|(cap, tid)| Step::LockLatest { cap, tid }),
-        (1u64..8, proptest::option::of(1u64..40))
+        (1..top, any::<u32>()).prop_map(|(v, val)| Step::Store { v, val }),
+        (1..top).prop_map(|v| Step::TryLoad { v }),
+        (1..top).prop_map(|cap| Step::TryLatest { cap }),
+        (1..top, 1u64..8).prop_map(|(cap, tid)| Step::LockLatest { cap, tid }),
+        (1u64..8, proptest::option::of(1..top))
             .prop_map(|(tid, create)| Step::Unlock { tid, create }),
-        (1u64..40).prop_map(|boundary| Step::Prune { boundary }),
+        (1..top).prop_map(|boundary| Step::Prune { boundary }),
+        (1u64..3, any::<u32>()).prop_map(|(gap, val)| Step::Append { gap, val }),
+        (1u64..8).prop_map(|tid| Step::Rename { tid }),
     ]
+}
+
+/// Versions a long history reaches (about 600, give or take).
+const LONG: u64 = 700;
+
+/// Grows a long history: two steps in three append a fresh value (a new
+/// run each), the rest rename the newest version or read anywhere. Some
+/// 450 steps cross the cell's read window and its chain trim depth.
+fn growth_strategy() -> impl Strategy<Value = Step> {
+    let append = || (1u64..3, any::<u32>()).prop_map(|(gap, val)| Step::Append { gap, val });
+    prop_oneof![
+        append(),
+        append(),
+        append(),
+        append(),
+        append(),
+        append(),
+        (1u64..8).prop_map(|tid| Step::Rename { tid }),
+        (1..LONG).prop_map(|v| Step::TryLoad { v }),
+        (1..LONG).prop_map(|cap| Step::TryLatest { cap }),
+    ]
+}
+
+/// Runs `steps` on a fresh cell and on the model, comparing every
+/// observation and checking the cell's invariants after each step.
+fn run_against_model(steps: Vec<Step>) {
+    let cell: OCell<u32> = OCell::new();
+    let mut model = Model::default();
+    for step in steps {
+        match step {
+            Step::Store { v, val } => {
+                assert_eq!(cell.store_version(v, val), model.store(v, val));
+            }
+            Step::TryLoad { v } => {
+                assert_eq!(cell.try_load_version(v), model.try_load(v));
+            }
+            Step::TryLatest { cap } => {
+                assert_eq!(cell.try_load_latest(cap), model.try_latest(cap));
+            }
+            Step::LockLatest { cap, tid } => {
+                // Skip when it would block (absent/locked) or the task
+                // already holds a lock; the model mirrors the decision.
+                let would = model.try_latest(cap).is_some() && !model.held.contains_key(&tid);
+                let got = if would {
+                    Some(cell.lock_load_latest(cap, tid).unwrap())
+                } else {
+                    None
+                };
+                assert_eq!(got, model.try_lock_latest(cap, tid));
+            }
+            Step::Unlock { tid, create } => {
+                assert_eq!(cell.unlock_version(tid, create), model.unlock(tid, create));
+            }
+            Step::Prune { boundary } => {
+                cell.prune_below(boundary);
+                model.prune_below(boundary);
+                let want: Vec<u64> = model.versions.keys().copied().collect();
+                assert_eq!(cell.versions(), want);
+            }
+            Step::Append { gap, val } => {
+                let v = model.versions.keys().next_back().map_or(0, |&v| v) + gap;
+                assert_eq!(cell.store_version(v, val), model.store(v, val));
+            }
+            Step::Rename { tid } => {
+                // Only when the newest version is free and `tid` holds
+                // nothing, so the lock-load cannot block.
+                let newest = model.versions.iter().next_back();
+                let Some((&v, &(_, None))) = newest else {
+                    continue;
+                };
+                if model.held.contains_key(&tid) {
+                    continue;
+                }
+                assert_eq!(
+                    Some(cell.lock_load_latest(v, tid).unwrap()),
+                    model.try_lock_latest(v, tid)
+                );
+                let create = Some(v + 1);
+                assert_eq!(cell.unlock_version(tid, create), model.unlock(tid, create));
+            }
+        }
+        cell.check_invariants().unwrap();
+    }
 }
 
 proptest! {
@@ -102,48 +212,9 @@ proptest! {
     /// Every non-blocking observation of the cell matches the model, for
     /// arbitrary interleavings of the six operations.
     #[test]
-    fn cell_matches_model(steps in proptest::collection::vec(step_strategy(), 1..120)) {
-        let cell: OCell<u32> = OCell::new();
-        let mut model = Model::default();
-        for step in steps {
-            match step {
-                Step::Store { v, val } => {
-                    prop_assert_eq!(cell.store_version(v, val), model.store(v, val));
-                }
-                Step::TryLoad { v } => {
-                    prop_assert_eq!(cell.try_load_version(v), model.try_load(v));
-                }
-                Step::TryLatest { cap } => {
-                    prop_assert_eq!(cell.try_load_latest(cap), model.try_latest(cap));
-                }
-                Step::LockLatest { cap, tid } => {
-                    // Skip when it would block (absent/locked) or the task
-                    // already holds a lock; the model mirrors the decision.
-                    let would = model.try_latest(cap).is_some()
-                        && !model.held.contains_key(&tid);
-                    let got = if would {
-                        Some(cell.lock_load_latest(cap, tid).unwrap())
-                    } else {
-                        None
-                    };
-                    prop_assert_eq!(got, model.try_lock_latest(cap, tid));
-                }
-                Step::Unlock { tid, create } => {
-                    prop_assert_eq!(
-                        cell.unlock_version(tid, create),
-                        model.unlock(tid, create)
-                    );
-                }
-                Step::Prune { boundary } => {
-                    cell.prune_below(boundary);
-                    model.prune_below(boundary);
-                    let want: Vec<u64> = model.versions.keys().copied().collect();
-                    prop_assert_eq!(cell.versions(), want);
-                }
-            }
-        }
+    fn cell_matches_model(steps in proptest::collection::vec(step_strategy(40), 1..120)) {
+        run_against_model(steps);
     }
-
     /// GC transparency: pruning below any boundary never changes what a
     /// task with cap ≥ boundary observes.
     #[test]
@@ -181,5 +252,20 @@ proptest! {
         cell.unlock_version(1, Some(vn)).unwrap();
         prop_assert_eq!(cell.try_load_version(base), Some(val));
         prop_assert_eq!(cell.try_load_version(vn), Some(val));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The same over long histories: hundreds of runs, so reads reach
+    /// past the fast-path window and the run chain is trimmed, then every
+    /// kind of step (pruning and out-of-order stores rebuild the chain).
+    #[test]
+    fn long_history_matches_model(
+        growth in proptest::collection::vec(growth_strategy(), 450..650),
+        mixed in proptest::collection::vec(step_strategy(LONG), 100..250),
+    ) {
+        run_against_model(growth.into_iter().chain(mixed).collect());
     }
 }

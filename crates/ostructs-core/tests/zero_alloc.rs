@@ -5,24 +5,27 @@
 //!
 //! A counting `#[global_allocator]` is armed after a warm-up (the thread's
 //! stripe chosen, its pin list sized) and disarmed before teardown; the
-//! count inside the window must be exactly zero. This file holds a single
-//! test and starts no other thread, so nothing else can pollute the count.
+//! count inside the window must be exactly zero. The count covers the
+//! reading thread only: the test harness's own thread allocates now and
+//! then while a test runs, and a process-wide count caught it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 use ostructs_core::{OMap, ReaderRegistry};
 
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocations while it is armed.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
 
 impl CountingAlloc {
     fn count(&self) {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        // `try_with`: the allocator also runs while thread locals are torn
+        // down.
+        let _ = ALLOCS.try_with(|n| n.set(n.get().map(|n| n + 1)));
     }
 }
 
@@ -74,20 +77,15 @@ fn pinned_reads_are_allocation_free() {
         assert!(read(k), "warm-up read of key {k}");
     }
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(Some(0)));
     let mut ok = 0u32;
     for i in 0..READS {
         reg.next_version();
         ok += u32::from(read(i % KEYS));
     }
-    ARMED.store(false, Ordering::SeqCst);
+    let allocs = ALLOCS.with(|n| n.take());
 
     assert_eq!(ok, READS, "every read finds its key at or below its cap");
-    assert_eq!(
-        ALLOCS.load(Ordering::SeqCst),
-        0,
-        "pin -> get_arc -> unpin allocated"
-    );
+    assert_eq!(allocs, Some(0), "pin -> get_arc -> unpin allocated");
     assert_eq!(reg.live_readers(), 0);
 }
